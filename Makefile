@@ -23,8 +23,9 @@ obs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_schema.py
 
 # Drill every recovery path: injected crash/hang/transient/corruption
-# faults recovered byte-identically, plus an interrupted-then-resumed
-# journaled sweep (includes a real SIGKILL test).
+# faults recovered byte-identically, plus an interrupted sweep resumed
+# by rerunning it against the same cache directory (includes a real
+# SIGKILL test).
 resilience-check:
 	PYTHONPATH=src $(PYTHON) -m repro resilience check
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_resilience.py

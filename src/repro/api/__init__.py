@@ -15,11 +15,6 @@ Request/response types are frozen dataclasses with strict JSON
 the experiment engine (:mod:`repro.api.query`), so everything the
 engine provides — process-pool fan-out, the content-addressed result
 cache, resilience, observability — applies to API queries unchanged.
-
-This facade *replaces* the pre-engine per-structure sweep entry points
-(``CacheTpiModel.sweep``, ``TlbTpiModel.sweep``, ``BranchTpiModel.sweep``,
-``queue_study.sweep_for``), which completed their deprecation cycle and
-now raise :class:`~repro.errors.RemovedApiError` naming this module.
 """
 
 from repro.api.query import (

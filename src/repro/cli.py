@@ -21,8 +21,7 @@ The public query API (see docs/service.md)::
 Every ``figure``/``ablation``/``extension`` run goes through the
 experiment engine and accepts its knobs::
 
-    python -m repro figure 9 --jobs 8 --cache-dir .repro-cache \\
-        --telemetry run.jsonl
+    python -m repro figure 9 --jobs 8 --cache-dir .repro-cache
     python -m repro cache-clear --cache-dir .repro-cache
 
 Observability (see docs/observability.md)::
@@ -35,8 +34,7 @@ Observability (see docs/observability.md)::
 Fault tolerance (see docs/resilience.md)::
 
     python -m repro figure 9 --jobs 8 --retries 5 --timeout 120 \\
-        --journal fig9.journal
-    python -m repro figure 9 --jobs 8 --journal fig9.journal --resume
+        --cache-dir .repro-cache    # rerun the same line to resume
     python -m repro cache-verify --cache-dir .repro-cache
     python -m repro resilience check
 """
@@ -334,8 +332,8 @@ def _power() -> None:
 
 
 def _engine_options() -> argparse.ArgumentParser:
-    """Shared ``--jobs``/``--cache-dir``/``--no-cache``/``--telemetry``
-    options for every subcommand that runs experiments."""
+    """Shared engine, resilience and observability options for every
+    subcommand that runs experiments."""
     opts = argparse.ArgumentParser(add_help=False)
     group = opts.add_argument_group("engine options")
     group.add_argument(
@@ -349,11 +347,6 @@ def _engine_options() -> argparse.ArgumentParser:
     group.add_argument(
         "--no-cache", action="store_true",
         help="bypass the result cache even if --cache-dir is set",
-    )
-    group.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="write per-cell run telemetry as JSONL to PATH (legacy format; "
-        "--trace supersedes it)",
     )
     group.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
@@ -370,16 +363,6 @@ def _engine_options() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, metavar="S",
         help="per-chunk deadline in seconds; a chunk exceeding it is treated "
         "as a hung worker (default: no deadline)",
-    )
-    res_group.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="durably record each completed cell to PATH so an interrupted "
-        "sweep can be resumed",
-    )
-    res_group.add_argument(
-        "--resume", action="store_true",
-        help="serve cells already recorded in --journal instead of "
-        "recomputing them",
     )
     obs_group = opts.add_argument_group("observability options")
     obs_group.add_argument(
@@ -401,8 +384,6 @@ def _engine_options() -> argparse.ArgumentParser:
 def _engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
     from repro.resilience import RetryPolicy
 
-    if args.resume and not args.journal:
-        raise SystemExit("error: --resume requires --journal PATH")
     retry = None
     if args.retries is not None or args.timeout is not None:
         defaults = RetryPolicy()
@@ -416,18 +397,9 @@ def _engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        telemetry=args.telemetry,
         chunk_size=args.chunk_size,
         retry=retry,
-        journal=args.journal,
-        resume=args.resume,
     )
-
-
-def _print_telemetry_summary(path: str) -> None:
-    from repro.obs.summarize import summarize_path
-
-    print(summarize_path(path), file=sys.stderr)
 
 
 def _run_observed(
@@ -541,9 +513,9 @@ def _resilience_check() -> int:
 
     Injects a worker crash, a hang, a transient exception and a corrupt
     cache entry into a small batch and asserts the results stay
-    byte-identical to a fault-free run; then interrupts a journaled
-    sweep partway and verifies ``--resume`` re-executes only the
-    unfinished cells.
+    byte-identical to a fault-free run; then interrupts a cached sweep
+    partway and verifies that rerunning it with the same cache
+    directory re-executes only the unfinished cells.
     """
     import tempfile
     from pathlib import Path
@@ -614,17 +586,17 @@ def _resilience_check() -> int:
             )
             return 1
 
-        journal = Path(tmp) / "sweep.journal"
-        interrupted = ExperimentEngine(jobs=1, journal=journal)
+        resume_dir = Path(tmp) / "resume-cache"
+        interrupted = ExperimentEngine(jobs=1, cache_dir=resume_dir)
         interrupted.map(cells[:2])  # "killed" after two cells
-        resumed = ExperimentEngine(jobs=1, journal=journal, resume=True)
+        resumed = ExperimentEngine(jobs=1, cache_dir=resume_dir)
         if resumed.map(cells) != baseline:
             print("resilience check FAILED: resumed run diverged", file=sys.stderr)
             return 1
-        if resumed.stats.resumed != 2 or resumed.stats.cache_misses != 2:
+        if resumed.stats.cache_hits != 2 or resumed.stats.cache_misses != 2:
             print(
                 "resilience check FAILED: resume recomputed the wrong cells "
-                f"(resumed {resumed.stats.resumed}, computed "
+                f"(cached {resumed.stats.cache_hits}, computed "
                 f"{resumed.stats.cache_misses}; expected 2 and 2)",
                 file=sys.stderr,
             )
@@ -636,7 +608,6 @@ def _resilience_check() -> int:
         "repro_engine_pool_respawns_total",
         "repro_engine_chunk_timeouts_total",
         "repro_engine_cache_corrupt_total",
-        "repro_engine_journal_resumed_total",
     }
     quiet = sorted(c for c in counters if reg.counter(c).value() == 0)
     if quiet:
@@ -652,7 +623,7 @@ def _resilience_check() -> int:
         f"respawns={reg.counter('repro_engine_pool_respawns_total').value():.0f}, "
         f"timeouts={reg.counter('repro_engine_chunk_timeouts_total').value():.0f}, "
         f"corrupt={reg.counter('repro_engine_cache_corrupt_total').value():.0f}, "
-        f"resumed={reg.counter('repro_engine_journal_resumed_total').value():.0f})"
+        f"resumed={resumed.stats.cache_hits})"
     )
     return 0
 
@@ -995,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obsp.add_subparsers(dest="obs_command", required=True)
     osum = obs_sub.add_parser(
         "summarize",
-        help="render a trace file (or legacy telemetry log) human-readable",
+        help="render a trace file human-readable",
     )
     osum.add_argument("path", help="JSONL trace file written via --trace")
     ocp = obs_sub.add_parser(
@@ -1315,8 +1286,6 @@ def _dispatch(args) -> int:
         _run_observed(
             args, "figure", lambda: _FIGURES[args.id](engine), figure=args.id
         )
-        if args.telemetry:
-            _print_telemetry_summary(args.telemetry)
     elif args.command == "ablations":
         print("ablations:", ", ".join(_ABLATIONS))
     elif args.command == "ablation":
@@ -1325,8 +1294,6 @@ def _dispatch(args) -> int:
             args, "ablation", lambda: _ablation(args.name, engine),
             ablation=args.name,
         )
-        if args.telemetry:
-            _print_telemetry_summary(args.telemetry)
     elif args.command == "extensions":
         print("extensions:", ", ".join(_EXTENSIONS))
     elif args.command == "extension":
@@ -1335,8 +1302,6 @@ def _dispatch(args) -> int:
             args, "extension", lambda: _extension(args.name, engine),
             extension=args.name,
         )
-        if args.telemetry:
-            _print_telemetry_summary(args.telemetry)
     elif args.command == "obs":
         if args.obs_command == "summarize":
             return _obs_summarize(args.path)
@@ -1350,8 +1315,6 @@ def _dispatch(args) -> int:
     elif args.command == "degrade":
         engine = _engine_from_args(args)
         _run_observed(args, "degrade", lambda: _degrade(args, engine))
-        if args.telemetry:
-            _print_telemetry_summary(args.telemetry)
     elif args.command == "robust":
         return _robust_check()
     elif args.command == "serve":

@@ -17,7 +17,7 @@ The engine's chunked cell batches normally fan out over a local
   with a broker and heartbeating while it computes.
 
 Results are deduplicated before delivery and every downstream write
-(result cache, sweep journal, warm store) is keyed by the cell's
+(result cache, warm store) is keyed by the cell's
 content address, so double-completion after a failover or a hedge is
 harmless.  With zero healthy workers the plane steps aside and the
 engine degrades to the local pool — no API change, near-zero overhead.

@@ -12,10 +12,16 @@ combining three ingredients:
 
 Entries are JSON files under ``<cache_dir>/<key[:2]>/<key>.json``,
 written atomically (temp file + rename) so concurrent engines sharing a
-cache directory never observe torn entries.  Every entry records a
-SHA-256 **checksum of its payload**; an entry that is unreadable, not
-valid JSON, or whose payload no longer matches its checksum is
-*corrupt*: it is logged, counted on the
+cache directory never observe torn entries, and durably (the temp file
+and then its directory are fsynced) so an entry that exists survives
+power loss.  The engine stores each computed cell as it lands, which
+makes the cache the sweep's checkpoint: rerunning an interrupted sweep
+with the same ``cache_dir`` recomputes only the cells that never
+finished.
+
+Every entry records a SHA-256 **checksum of its payload**; an entry
+that is unreadable, not valid JSON, or whose payload no longer matches
+its checksum is *corrupt*: it is logged, counted on the
 ``repro_engine_cache_corrupt_total`` metric, moved into the
 ``<cache_dir>/quarantine/`` directory for post-mortem inspection, and
 reported as a miss so the cell is recomputed.  Entries from an older
@@ -266,7 +272,7 @@ class ResultCache:
         )
 
     def store(self, key: str, cell: SweepCell, payload: Mapping[str, Any]) -> Path:
-        """Atomically persist one cell's payload."""
+        """Atomically and durably persist one cell's payload."""
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = dict(payload)
@@ -283,6 +289,8 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(entry, fh)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp_name, path)
         # Cleanup-and-reraise: the temp file must not leak even on
         # KeyboardInterrupt, and the exception continues unswallowed.
@@ -292,6 +300,12 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        # The rename itself is durable only once the directory is synced.
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
         return path
 
     def invalidate(self, kind: str | None = None) -> int:

@@ -1,30 +1,29 @@
 """The parallel experiment engine.
 
-:class:`ExperimentEngine` evaluates a batch of sweep cells through four
+:class:`ExperimentEngine` evaluates a batch of sweep cells through three
 layers, in order:
 
-1. **resume** — with a journal and ``resume=True``, cells already
-   recorded by an earlier (possibly killed) run are served from the
-   checkpoint journal;
-2. **cache** — cells whose content-address is already on disk are
+1. **cache** — cells whose content-address is already on disk are
    served without computing anything;
-3. **fan-out** — the remaining cells are split into deterministic
+2. **fan-out** — the remaining cells are split into deterministic
    contiguous chunks and evaluated on a ``ProcessPoolExecutor`` using
    the ``spawn`` start method (the portable one — nothing in a cell may
    rely on forked state), driven by a
    :class:`~repro.resilience.ResilientExecutor` that retries transient
    failures, respawns crashed pools, times out hung workers, and
    degrades to serial execution past the pool-respawn budget;
-4. **assembly** — payloads are reassembled strictly in submission
+3. **assembly** — payloads are reassembled strictly in submission
    order, so the result list is independent of worker scheduling *and*
    of any recovery action, and a ``jobs=1`` run is bitwise identical to
    a ``jobs=N`` run — faulted or not.
 
 ``jobs=1`` short-circuits the pool entirely and evaluates inline, which
-is also the fallback while debugging worker-side failures.  Telemetry
-(one JSONL event per cell plus run bracketing) and hit/miss counters are
-recorded on every run; see :mod:`repro.engine.telemetry`.  Failure
-semantics, the fault taxonomy, and the checkpoint/resume workflow are
+is also the fallback while debugging worker-side failures.  Every run is
+one ``engine.map`` span with one ``engine.cell`` event per cell (see
+:mod:`repro.obs.trace`), and hit/miss counters are kept in
+:attr:`ExperimentEngine.stats` either way.  Computed cells are stored
+as they land, so an interrupted sweep resumes by rerunning it with the
+same ``cache_dir``.  Failure semantics and the fault taxonomy are
 documented in ``docs/resilience.md``.
 """
 
@@ -34,13 +33,13 @@ import math
 import shutil
 import tempfile
 import time
+import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.engine.cache import ResultCache
 from repro.engine.cells import SweepCell
-from repro.engine.telemetry import TelemetryLog, new_run_id
 from repro.errors import EngineError
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
@@ -48,7 +47,6 @@ from repro.obs.profile import add_sample, profiled
 from repro.obs.stitch import TraceContext, stitch_shards
 from repro.resilience.executor import ResilientExecutor
 from repro.resilience.faults import FaultPlan, corrupt_cache_entry
-from repro.resilience.journal import SweepJournal
 from repro.resilience.policy import RetryPolicy
 
 if TYPE_CHECKING:
@@ -66,19 +64,15 @@ class EngineStats:
     cells: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    resumed: int = 0
     elapsed_s: float = 0.0
     busy_s: float = 0.0
     runs: int = 0
 
-    def merge_run(
-        self, hits: int, misses: int, resumed: int, elapsed: float, busy: float
-    ) -> None:
+    def merge_run(self, hits: int, misses: int, elapsed: float, busy: float) -> None:
         """Fold one run's counters in."""
         self.cells += hits + misses
         self.cache_hits += hits
         self.cache_misses += misses
-        self.resumed += resumed
         self.elapsed_s += elapsed
         self.busy_s += busy
         self.runs += 1
@@ -86,7 +80,7 @@ class EngineStats:
 
 @dataclass
 class ExperimentEngine:
-    """Runs sweep cells with optional parallelism, caching and telemetry.
+    """Runs sweep cells with optional parallelism and caching.
 
     Parameters
     ----------
@@ -98,9 +92,6 @@ class ExperimentEngine:
     use_cache:
         ``False`` (the CLI's ``--no-cache``) keeps the directory
         configured but neither reads nor writes it.
-    telemetry:
-        Path of the JSONL event log; ``None`` disables persistence
-        (counters in :attr:`stats` are kept either way).
     chunk_size:
         Cells per worker chunk; ``None`` (the default) uses the
         ``ceil(n / (jobs * 4))`` load-balancing heuristic.
@@ -111,12 +102,6 @@ class ExperimentEngine:
     fault_plan:
         Deterministic fault injection for tests and drills; ``None``
         (the default, and the production setting) injects nothing.
-    journal:
-        Path of the checkpoint journal; completed cells are durably
-        appended as they finish.  ``None`` disables journaling.
-    resume:
-        Serve cells already recorded in ``journal`` instead of
-        recomputing them.  Requires ``journal``.
     dispatcher:
         A :class:`~repro.dispatch.DispatchPlane` to fan chunks out to
         remote ``repro worker`` processes.  ``None`` (the default)
@@ -128,12 +113,9 @@ class ExperimentEngine:
     jobs: int = 1
     cache_dir: str | Path | None = None
     use_cache: bool = True
-    telemetry: str | Path | None = None
     chunk_size: int | None = None
     retry: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
-    journal: str | Path | None = None
-    resume: bool = False
     dispatcher: "DispatchPlane | None" = None
     stats: EngineStats = field(default_factory=EngineStats)
 
@@ -158,28 +140,12 @@ class ExperimentEngine:
                     "directory; point it at a directory (it is created on "
                     "first write) or pass None to disable caching"
                 )
-        if self.resume and self.journal is None:
-            raise EngineError(
-                "resume=True needs a journal path to resume from; pass "
-                "journal=<path> (the CLI spells this --journal PATH --resume)"
-            )
         self._retry = self.retry if self.retry is not None else RetryPolicy()
         self._cache = (
             ResultCache(self.cache_dir)
             if self.cache_dir is not None and self.use_cache
             else None
         )
-        # The journal shares the cache's fingerprint capture so both
-        # agree on every cell key.
-        self._journal = (
-            SweepJournal(
-                self.journal,
-                fingerprint=self._cache.fingerprint if self._cache else None,
-            )
-            if self.journal is not None
-            else None
-        )
-        self._telemetry = TelemetryLog(self.telemetry)
 
     # -- cache passthrough ------------------------------------------------
 
@@ -187,11 +153,6 @@ class ExperimentEngine:
     def cache(self) -> ResultCache | None:
         """The active result cache, if any."""
         return self._cache
-
-    @property
-    def sweep_journal(self) -> SweepJournal | None:
-        """The active checkpoint journal, if any."""
-        return self._journal
 
     def invalidate_cache(self, kind: str | None = None) -> int:
         """Drop cached results (all, or one cell kind); returns count."""
@@ -217,31 +178,17 @@ class ExperimentEngine:
         there the deadline is only enforced by the caller afterwards.
         """
         cells = list(cells)
-        run_id = new_run_id()
         with obs.span(
             "engine.map", level="engine",
-            run_id=run_id, jobs=self.jobs, n_cells=len(cells),
+            run_id=uuid.uuid4().hex[:12], jobs=self.jobs, n_cells=len(cells),
             cache_enabled=self._cache is not None,
         ) as span, profiled("engine.map"):
-            return self._map_traced(cells, run_id, span, deadline_s)
+            return self._map_traced(cells, span, deadline_s)
 
     def _map_traced(
-        self,
-        cells: list[SweepCell],
-        run_id: str,
-        span,
-        deadline_s: float | None = None,
+        self, cells: list[SweepCell], span, deadline_s: float | None = None
     ) -> list[dict]:
         start = time.perf_counter()
-        self._telemetry.emit(
-            "run_start",
-            run_id=run_id,
-            jobs=self.jobs,
-            n_cells=len(cells),
-            cache_enabled=self._cache is not None,
-            cache_dir=str(self.cache_dir) if self.cache_dir is not None else None,
-        )
-
         self._apply_cache_corruption_faults(cells)
 
         payloads: list[dict | None] = [None] * len(cells)
@@ -249,26 +196,12 @@ class ExperimentEngine:
         sources: list[str] = ["computed"] * len(cells)
         keys: list[str | None] = [None] * len(cells)
         misses: list[int] = []
-        resumed = (
-            self._journal.load() if self._journal is not None and self.resume else {}
-        )
-        n_resumed = 0
 
         for i, cell in enumerate(cells):
-            if self._cache is not None:
-                keys[i] = self._cache.key(cell)
-            elif self._journal is not None:
-                keys[i] = self._journal.key(cell)
-            if keys[i] is not None and keys[i] in resumed:
-                payloads[i] = resumed[keys[i]]
-                sources[i] = "journal"
-                n_resumed += 1
-                if self._cache is not None:
-                    self._cache.store(keys[i], cell, payloads[i])
-                continue
             if self._cache is None:
                 misses.append(i)
                 continue
+            keys[i] = self._cache.key(cell)
             probe_start = time.perf_counter()
             hit = self._cache.load(keys[i])
             if hit is None:
@@ -291,15 +224,6 @@ class ExperimentEngine:
             "repro_engine_cell_wall_seconds", "wall time per evaluated sweep cell"
         )
         for i, cell in enumerate(cells):
-            self._telemetry.emit(
-                "cell",
-                run_id=run_id,
-                index=i,
-                kind=cell.kind,
-                key=keys[i],
-                source=sources[i],
-                wall_s=walls[i],
-            )
             span.event(
                 "engine.cell",
                 index=i, kind=cell.kind, key=keys[i],
@@ -308,21 +232,7 @@ class ExperimentEngine:
             wall_hist.observe(walls[i], kind=cell.kind, source=sources[i])
             if sources[i] == "computed":
                 add_sample(f"evaluator:{cell.kind}", walls[i])
-        self._telemetry.emit(
-            "run_end",
-            run_id=run_id,
-            jobs=self.jobs,
-            n_cells=len(cells),
-            cache_hits=n_hits,
-            cache_misses=len(misses),
-            resumed=n_resumed,
-            elapsed_s=elapsed,
-            busy_s=busy,
-            worker_utilization=(
-                busy / (elapsed * self.jobs) if elapsed > 0 else 0.0
-            ),
-        )
-        self.stats.merge_run(n_hits, len(misses), n_resumed, elapsed, busy)
+        self.stats.merge_run(n_hits, len(misses), elapsed, busy)
         reg = metrics()
         reg.counter("repro_engine_runs_total", "engine map() batches").inc()
         reg.counter(
@@ -331,18 +241,13 @@ class ExperimentEngine:
         reg.counter(
             "repro_engine_cache_misses_total", "sweep cells computed"
         ).inc(len(misses))
-        if n_resumed:
-            reg.counter(
-                "repro_engine_journal_resumed_total",
-                "sweep cells served from a checkpoint journal on resume",
-            ).inc(n_resumed)
         if self.stats.cells:
             reg.gauge(
                 "repro_engine_cache_hit_ratio",
                 "lifetime cache-hit ratio of this engine",
             ).set(self.stats.cache_hits / self.stats.cells)
         span.set(
-            cache_hits=n_hits, cache_misses=len(misses), resumed=n_resumed,
+            cache_hits=n_hits, cache_misses=len(misses),
             elapsed_s=elapsed, busy_s=busy,
         )
         if report is not None and (
@@ -370,8 +275,8 @@ class ExperimentEngine:
         """Evaluate the cache misses resiliently, persisting as they land.
 
         Returns the executor's :class:`~repro.resilience.ExecutionReport`.
-        Cache and journal writes happen in the per-chunk callback, so an
-        interrupted run keeps everything that finished.
+        Cache writes happen in the per-chunk callback, so an interrupted
+        run keeps everything that finished.
         """
         policy = self._retry
         if deadline_s is not None:
@@ -398,8 +303,6 @@ class ExperimentEngine:
                 walls[g] = wall
                 if self._cache is not None:
                     self._cache.store(keys[g], cells[g], payload)
-                if self._journal is not None:
-                    self._journal.record(keys[g], cells[g], payload, wall)
 
         # Cross-process tracing: pooled workers cannot see this
         # process's tracer, so hand them a TraceContext anchored on the
@@ -464,7 +367,7 @@ _DEFAULT_ENGINE: ExperimentEngine | None = None
 def default_engine() -> ExperimentEngine:
     """The shared serial engine harnesses fall back to.
 
-    No cache, no telemetry, no pool — exactly the pre-engine behaviour,
+    No cache, no pool — exactly the pre-engine behaviour,
     which keeps every harness's default results and signatures stable.
     """
     global _DEFAULT_ENGINE

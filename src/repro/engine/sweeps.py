@@ -1,10 +1,7 @@
 """Unified structure sweeps: one protocol over four structures.
 
-Historically each structure grew its own copy-pasted sweep API
-(``CacheTpiModel.sweep``, ``TlbTpiModel.sweep``, ``BranchTpiModel.sweep``
-and ``queue_study.sweep_for``), each with a different workload argument
-and a different breakdown type.  The classes here implement the shared
-:class:`repro.core.metrics.StructureSweep` protocol instead: every
+The classes here implement the shared
+:class:`repro.core.metrics.StructureSweep` protocol: every
 structure maps a :class:`~repro.workloads.profiles.BenchmarkProfile` to
 ``{configuration: SweepResult}`` with the same four fields, so the
 experiment engine — and anything else comparing structures — can drive

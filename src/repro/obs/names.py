@@ -168,7 +168,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "repro_engine_cache_misses_total",
         "repro_engine_cell_wall_seconds",
         "repro_engine_chunk_timeouts_total",
-        "repro_engine_journal_resumed_total",
         "repro_engine_lost_chunks_total",
         "repro_engine_pool_respawns_total",
         "repro_engine_retries_total",

@@ -9,13 +9,10 @@
 * **interval TPI timeline** — the per-interval TPI the monitoring
   hardware observed, in order;
 * **candidate evaluations** — how many configurations were scored;
+* **engine runs** — one line per ``engine.map`` span: cells, cache hits
+  and misses, elapsed and busy time, jobs and worker utilization;
 * **hottest evaluators** — wall time per engine cell kind and per
   structure ``run()``.
-
-:func:`summarize_path` sniffs the file format first, so it also accepts
-the legacy engine telemetry logs (``run_start``/``cell``/``run_end``
-events) that predate the tracer; those get the old one-line-per-run
-digest, now tolerant of events with missing optional fields.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.errors import ObservabilityError
 from repro.obs.schema import read_records, validate_trace
 
 #: Most intervals shown individually in the timeline before eliding.
@@ -36,25 +32,33 @@ def _fmt(value: Any, spec: str = "") -> str:
     return "?"
 
 
-def summarize_engine_events(events: Iterable[Mapping[str, Any]]) -> str:
-    """Digest of a legacy engine telemetry log, one line per run.
+def _utilization(attrs: Mapping[str, Any]) -> float | None:
+    """``busy / (elapsed * jobs)`` of one engine run, if computable."""
+    busy, elapsed, jobs = (attrs.get(k) for k in ("busy_s", "elapsed_s", "jobs"))
+    if not all(isinstance(v, (int, float)) for v in (busy, elapsed, jobs)):
+        return None
+    return busy / (elapsed * jobs) if elapsed > 0 else 0.0
 
-    Tolerates events missing optional fields — a truncated or
-    hand-edited log renders with ``?`` placeholders instead of raising.
+
+def summarize_engine_runs(spans: Iterable[Mapping[str, Any]]) -> str:
+    """Digest of the ``engine.map`` spans in ``spans``, one line per run.
+
+    Tolerates spans missing attributes — a run that raised before its
+    counters were set renders with ``?`` placeholders instead of raising.
     """
     lines = []
-    for record in events:
-        if record.get("event") != "run_end":
+    for s in spans:
+        if s.get("name") != "engine.map":
             continue
-        util = record.get("worker_utilization")
+        attrs = s.get("attrs", {})
         lines.append(
-            f"run {record.get('run_id', '?')}: {_fmt(record.get('n_cells'))} cells "
-            f"({_fmt(record.get('cache_hits'))} cached, "
-            f"{_fmt(record.get('cache_misses'))} computed) "
-            f"in {_fmt(record.get('elapsed_s'), '.3f')}s "
-            f"on {_fmt(record.get('jobs'))} job(s), "
-            f"busy {_fmt(record.get('busy_s'), '.3f')}s, "
-            f"utilization {_fmt(util, '.0%') if util is not None else '?'}"
+            f"run {attrs.get('run_id', '?')}: {_fmt(attrs.get('n_cells'))} cells "
+            f"({_fmt(attrs.get('cache_hits'))} cached, "
+            f"{_fmt(attrs.get('cache_misses'))} computed) "
+            f"in {_fmt(attrs.get('elapsed_s'), '.3f')}s "
+            f"on {_fmt(attrs.get('jobs'))} job(s), "
+            f"busy {_fmt(attrs.get('busy_s'), '.3f')}s, "
+            f"utilization {_fmt(_utilization(attrs), '.0%')}"
         )
     if not lines:
         return "no completed runs"
@@ -187,6 +191,13 @@ def _trace_body(
             + ")"
         )
 
+    # -- engine runs ------------------------------------------------------
+    runs = [s for s in spans if s["name"] == "engine.map"]
+    if runs:
+        out.append("")
+        out.append(f"engine runs: {len(runs)}")
+        out.extend(f"  {line}" for line in summarize_engine_runs(runs).splitlines())
+
     # -- hottest evaluators ----------------------------------------------
     hot: dict[str, list[float]] = {}
     for e in events:
@@ -216,15 +227,8 @@ def _trace_body(
 
 
 def summarize_path(path: str | Path) -> str:
-    """Summarize a JSONL file, sniffing trace vs. legacy telemetry format."""
+    """Summarize a trace JSONL file."""
     records = read_records(path)
     if not records:
         return "empty trace"
-    if "record" in records[0]:
-        return summarize_trace(records)
-    if "event" in records[0]:
-        return summarize_engine_events(records)
-    raise ObservabilityError(
-        f"{path}: neither a trace (record=...) nor an engine telemetry "
-        f"(event=...) file"
-    )
+    return summarize_trace(records)

@@ -179,7 +179,9 @@ class OutOfOrderMachine:
             occupancy.add(cycle)
 
         issue = np.array(issue_list, dtype=np.int64)
-        completion = issue + trace.latency.astype(np.int64)
+        # The drain uses the latencies actually scheduled with, which a
+        # memory system may have overridden per load.
+        completion = issue + np.asarray(latency, dtype=np.int64)
         cycles = int(completion.max()) + 1
         return MachineResult(
             config=self.config,

@@ -1,7 +1,7 @@
 """repro.resilience — fault tolerance for the experiment engine.
 
 The paper's premise is graceful adaptation under changing conditions;
-this package gives the *experiment engine* the same property.  Four
+this package gives the *experiment engine* the same property.  Three
 cooperating layers:
 
 :mod:`repro.resilience.policy`
@@ -13,10 +13,6 @@ cooperating layers:
     worker crashes (``BrokenProcessPool`` → respawn + re-queue), hangs
     (timeout → pool kill), transient exceptions (backoff + retry) and,
     past the respawn budget, graceful degradation to serial execution.
-:mod:`repro.resilience.journal`
-    :class:`SweepJournal` — a crash-safe, content-addressed journal of
-    completed cells; an interrupted sweep resumed with the same journal
-    re-executes only the unfinished cells.
 :mod:`repro.resilience.faults`
     :class:`FaultPlan` / :class:`FaultEvent` — deterministic, seedable
     fault injection (worker crashes, hangs, transient exceptions, cache
@@ -46,7 +42,6 @@ from repro.resilience.faults import (
     corrupt_cache_entry,
     evaluate_chunk_with_faults,
 )
-from repro.resilience.journal import JOURNAL_SCHEMA_VERSION, SweepJournal
 from repro.resilience.policy import RetryPolicy
 
 __all__ = [
@@ -55,10 +50,8 @@ __all__ = [
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
-    "JOURNAL_SCHEMA_VERSION",
     "ResilientExecutor",
     "RetryPolicy",
-    "SweepJournal",
     "corrupt_cache_entry",
     "evaluate_chunk_with_faults",
 ]

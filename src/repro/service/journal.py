@@ -3,8 +3,7 @@
 Every acked job used to live only in the in-memory
 :class:`~repro.service.jobs.JobStore`, so a crashed or restarted server
 silently lost all queued and running work.  :class:`JobJournal` fixes
-that with the same idiom :class:`~repro.resilience.journal.SweepJournal`
-proved at the engine layer: an append-only JSONL file, each record
+that with an append-only JSONL file, each record
 flushed and — for the records that carry durability — fsynced before the
 write is acknowledged, so a server killed at any instant (including
 SIGKILL, which runs no cleanup) can replay its admitted work.

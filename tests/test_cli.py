@@ -34,21 +34,11 @@ class TestParser:
     def test_resilience_flags_parse(self):
         args = build_parser().parse_args(
             ["figure", "9", "--jobs", "4", "--chunk-size", "2",
-             "--retries", "5", "--timeout", "120",
-             "--journal", "fig9.journal", "--resume"]
+             "--retries", "5", "--timeout", "120"]
         )
         assert args.chunk_size == 2
         assert args.retries == 5
         assert args.timeout == 120.0
-        assert args.journal == "fig9.journal"
-        assert args.resume
-
-    def test_resume_without_journal_is_rejected(self):
-        from repro.cli import _engine_from_args
-
-        args = build_parser().parse_args(["figure", "9", "--resume"])
-        with pytest.raises(SystemExit, match="--journal"):
-            _engine_from_args(args)
 
 
 class TestCommands:

@@ -1,4 +1,4 @@
-"""The experiment engine: determinism, caching, telemetry, unification.
+"""The experiment engine: determinism, caching, tracing, unification.
 
 The engine's contract has three legs, each tested here:
 
@@ -6,13 +6,12 @@ The engine's contract has three legs, each tested here:
   deterministic chunking plus submission-order assembly;
 * the content-addressed cache round-trips payloads exactly, and its
   keys change when any technology constant changes; and
-* every run emits a telemetry event stream that validates against
-  :data:`repro.engine.telemetry.EVENT_SCHEMA`.
+* every run is one ``engine.map`` span carrying its hit/miss counters,
+  with one ``engine.cell`` event per cell.
 
-The unified sweep API (satellite of the same change) is covered at the
-end: the four :class:`~repro.core.metrics.StructureSweep`
-implementations, the uniform ``run()`` return type, and the deprecation
-shims on the superseded per-structure ``sweep`` entry points.
+The unified sweep API is covered at the end: the four
+:class:`~repro.core.metrics.StructureSweep` implementations and the
+uniform ``run()`` return type.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.engine.sweeps import (
     TlbStructureSweep,
     all_structure_sweeps,
 )
-from repro.engine.telemetry import read_events, validate_events
 from repro.errors import EngineError
 from repro.workloads.suite import get_profile
 
@@ -206,33 +204,43 @@ def test_cell_key_mixes_kind_and_spec():
 
 
 # ---------------------------------------------------------------------------
-# telemetry
+# tracing
 # ---------------------------------------------------------------------------
 
 
-def test_telemetry_log_validates_against_the_schema(tmp_path):
-    log = tmp_path / "run.jsonl"
+def test_trace_has_one_map_span_and_one_cell_event_per_cell(tmp_path):
+    from repro.obs.schema import validate_trace
+    from repro.obs.summarize import summarize_trace
+    from repro.obs.trace import Tracer
+
     cells = _mixed_cells()
-    engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache", telemetry=log)
-    engine.map(cells)
-    engine.map(cells)  # second, fully cached run in the same log
+    engine = ExperimentEngine(jobs=2, cache_dir=tmp_path / "cache")
+    with Tracer() as tracer:
+        engine.map(cells)
+        engine.map(cells)  # second, fully cached run in the same trace
+    records = tracer.records
+    validate_trace(records)  # raises on any schema violation
 
-    events = read_events(log)
-    validate_events(events)  # raises on any schema violation
-
-    runs = [e for e in events if e["event"] == "run_end"]
+    runs = [r for r in records if r["record"] == "span" and r["name"] == "engine.map"]
     assert len(runs) == 2
+    for run in runs:
+        attrs = run["attrs"]
+        assert attrs["n_cells"] == len(cells)
+        assert attrs["cache_hits"] + attrs["cache_misses"] == attrs["n_cells"]
     cold, warm = runs
-    assert cold["cache_misses"] == len(cells)
-    assert warm["cache_hits"] == len(cells)
-    cell_events = [e for e in events if e["event"] == "cell"]
-    assert [e["index"] for e in cell_events] == [0, 1, 2, 3, 4, 5] * 2
-    assert {e["source"] for e in cell_events} == {"cache", "computed"}
+    assert cold["attrs"]["cache_misses"] == len(cells)
+    assert warm["attrs"]["cache_hits"] == len(cells)
+    cell_events = [
+        r for r in records if r["record"] == "event" and r["name"] == "engine.cell"
+    ]
+    for run in runs:
+        indices = [e["attrs"]["index"] for e in cell_events if e["parent"] == run["id"]]
+        assert indices == list(range(len(cells)))
+    assert len(cell_events) == 2 * len(cells)
+    assert {e["attrs"]["source"] for e in cell_events} == {"cache", "computed"}
 
-    from repro.obs.summarize import summarize_path
-
-    digest = summarize_path(log)
-    assert f"{len(cells)} cells" in digest
+    digest = summarize_trace(records)
+    assert f"{len(cells)} cells ({len(cells)} cached, 0 computed)" in digest
 
 
 def test_telemetry_counters_exist_without_a_log_file():
@@ -293,44 +301,6 @@ def test_sweeps_agree_with_the_legacy_models():
     for f, point in unified.items():
         assert point.tpi_ns == legacy[f].tpi_ns
         assert point.cycle_time_ns == legacy[f].cycle_time_ns
-
-
-def test_removed_sweep_signatures_hard_error():
-    from repro.branch.tpi import BranchTpiModel
-    from repro.branch.workloads import branch_profile_for
-    from repro.errors import RemovedApiError
-    from repro.experiments import queue_study
-    from repro.tlb.tpi import TlbTpiModel
-
-    profile = get_profile("compress")
-    from repro.engine.cells import cached_tlb_histogram
-
-    histogram = cached_tlb_histogram(profile, N_REFS, WARMUP)
-    ls = profile.memory.load_store_fraction
-    with pytest.raises(RemovedApiError, match="repro.api"):
-        TlbTpiModel().sweep(histogram, ls)
-    # The raw breakdown surface replaces it one-for-one.
-    assert TlbTpiModel().sweep_breakdowns(histogram, ls)
-
-    bp = branch_profile_for(profile)
-    with pytest.raises(RemovedApiError, match="repro.api"):
-        BranchTpiModel().sweep(bp, N_BRANCHES)
-
-    with pytest.raises(RemovedApiError, match="repro.api"):
-        queue_study.sweep_for(profile, n_instructions=N_INSTR)
-
-
-def test_cache_model_sweep_hard_errors():
-    from repro.cache.tpi import CacheTpiModel
-    from repro.engine.cells import cached_histogram
-    from repro.errors import RemovedApiError
-
-    profile = get_profile("compress")
-    histogram = cached_histogram(profile, N_REFS, WARMUP)
-    ls = profile.memory.load_store_fraction
-    with pytest.raises(RemovedApiError, match="repro.api"):
-        CacheTpiModel().sweep(histogram, ls, boundaries=(1, 2))
-    assert CacheTpiModel().sweep_breakdowns(histogram, ls, boundaries=(1, 2))
 
 
 # ---------------------------------------------------------------------------

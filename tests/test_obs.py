@@ -1,5 +1,5 @@
-"""Unit tests for the observability layer: tracer, metrics, profiler,
-summaries, and the legacy-telemetry compatibility shim."""
+"""Unit tests for the observability layer: tracer, metrics, profiler
+and trace summaries."""
 
 import time
 
@@ -11,7 +11,7 @@ from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.profile import add_sample, profiled, profiling
 from repro.obs.schema import read_records, validate_record, validate_trace
 from repro.obs.summarize import (
-    summarize_engine_events,
+    summarize_engine_runs,
     summarize_path,
     summarize_trace,
 )
@@ -287,38 +287,48 @@ class TestProfiler:
 
 
 class TestSummaries:
-    def _legacy_events(self):
-        return [
-            {"event": "run_start", "run_id": "r1", "ts": 0.0, "jobs": 2,
-             "n_cells": 2, "cache_enabled": True, "cache_dir": "c"},
-            {"event": "cell", "run_id": "r1", "ts": 0.0, "index": 0,
-             "kind": "cache_tpi", "key": "k", "source": "cache",
-             "wall_s": 0.01},
-            {"event": "run_end", "run_id": "r1", "ts": 1.0, "jobs": 2,
-             "n_cells": 2, "cache_hits": 1, "cache_misses": 1,
-             "elapsed_s": 1.0, "busy_s": 0.8, "worker_utilization": 0.4},
-        ]
+    @staticmethod
+    def _engine_run(tracer):
+        """One ``engine.map`` span shaped like the engine's own."""
+        with tracer.span(
+            "engine.map", level="engine", run_id="r1", jobs=2, n_cells=2,
+            cache_enabled=True,
+        ) as sp:
+            sp.event(
+                "engine.cell", index=0, kind="cache_tpi", key="k",
+                source="cache", wall_s=0.01,
+            )
+            sp.set(cache_hits=1, cache_misses=1, elapsed_s=1.0, busy_s=0.8)
+
+    def test_engine_digest_from_map_spans(self):
+        with Tracer() as t:
+            self._engine_run(t)
+        text = summarize_engine_runs(r for r in t.records if r["record"] == "span")
+        assert text == (
+            "run r1: 2 cells (1 cached, 1 computed) in 1.000s on 2 job(s), "
+            "busy 0.800s, utilization 40%"
+        )
 
     def test_engine_digest_tolerates_missing_fields(self):
-        events = self._legacy_events()
-        del events[-1]["busy_s"]
-        del events[-1]["worker_utilization"]
-        text = summarize_engine_events(events)
+        with Tracer() as t:
+            self._engine_run(t)
+        spans = [r for r in t.records if r["record"] == "span"]
+        del spans[-1]["attrs"]["busy_s"]
+        text = summarize_engine_runs(spans)
         assert "2 cells" in text
         assert "?" in text  # placeholders, not a KeyError
 
     def test_engine_digest_without_runs(self):
-        assert summarize_engine_events([]) == "no completed runs"
+        assert summarize_engine_runs([]) == "no completed runs"
 
-    def test_summarize_path_sniffs_legacy_telemetry(self, tmp_path):
-        import json
-
-        path = tmp_path / "telemetry.jsonl"
-        path.write_text(
-            "\n".join(json.dumps(e) for e in self._legacy_events()) + "\n"
-        )
+    def test_summarize_path_renders_engine_runs(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with Tracer(path) as t:
+            self._engine_run(t)
         text = summarize_path(path)
-        assert "run r1" in text and "2 cells" in text
+        assert "engine runs: 1" in text
+        assert "run r1: 2 cells" in text
+        assert "cell:cache_tpi" in text  # hottest evaluators, from the events
 
     def test_summarize_path_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "junk.jsonl"
@@ -350,10 +360,3 @@ class TestSummaries:
         assert "interval TPI timeline (2 interval(s)):" in text
         assert "[li] config=2 tpi=0.2500 ns" in text
         assert "candidate evaluations: 2 (dcache=2)" in text
-
-    def test_telemetry_summarize_shim_removed(self, tmp_path):
-        from repro.engine import telemetry
-        from repro.errors import RemovedApiError
-
-        with pytest.raises(RemovedApiError, match="obs summarize"):
-            telemetry.summarize(tmp_path / "telemetry.jsonl")

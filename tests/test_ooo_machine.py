@@ -1,7 +1,9 @@
-"""Tests for the out-of-order machine, including hand-checked schedules."""
+"""Tests for the out-of-order machine: hand-checked schedules plus a
+differential test against a cycle-stepped reference scheduler."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.ooo.machine import (
@@ -154,3 +156,105 @@ class TestRunningKthSmallest:
         tracker.add(1)
         with pytest.raises(SimulationError):
             tracker.kth()
+
+
+class _FixedLatencyMemory:
+    """Memory-system stub: the load at address ``a`` takes ``latencies[a]``."""
+
+    def __init__(self, latencies):
+        self.latencies = latencies
+
+    def load_latency_cycles(self, address):
+        return self.latencies[address]
+
+
+def _reference_schedule(dep1, dep2, latency, window, issue_width, dispatch_width):
+    """Cycle-stepped oldest-first oracle: each cycle dispatches in order
+    into free queue entries, then wakes up and selects the oldest ready
+    entries.  An entry frees the cycle after its occupant issues."""
+    n = len(latency)
+    issue = [None] * n
+    queue = []  # dispatched, not yet issued, oldest first
+    next_up = cycle = 0
+    while next_up < n or queue:
+        for _ in range(dispatch_width):
+            if next_up == n or len(queue) == window:
+                break
+            queue.append(next_up)
+            next_up += 1
+        ready = [
+            i for i in queue
+            if all(
+                p == NO_DEP or (issue[p] is not None and issue[p] + latency[p] <= cycle)
+                for p in (dep1[i], dep2[i])
+            )
+        ]
+        for i in ready[:issue_width]:
+            issue[i] = cycle
+            queue.remove(i)
+        cycle += 1
+    return issue, max(t + lat for t, lat in zip(issue, latency)) + 1
+
+
+@st.composite
+def _traces(draw):
+    """A random dataflow trace; some instructions are loads whose
+    latency the memory-system stub overrides."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    deps = [
+        [draw(st.integers(min_value=-1, max_value=i - 1)) for i in range(n)]
+        for _ in range(2)
+    ]
+    latency = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    loads = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    memory = draw(st.lists(st.integers(1, 120), min_size=n, max_size=n))
+    trace = InstructionTrace(
+        dep1=np.array([NO_DEP if d < 0 else d for d in deps[0]], dtype=np.int64),
+        dep2=np.array([NO_DEP if d < 0 else d for d in deps[1]], dtype=np.int64),
+        latency=np.array(latency, dtype=np.int16),
+        load_address=np.array(
+            [i if load else NO_DEP for i, load in enumerate(loads)], dtype=np.int64
+        ),
+    )
+    effective = [memory[i] if load else latency[i] for i, load in enumerate(loads)]
+    return trace, memory, effective
+
+
+class TestReferenceScheduler:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=_traces(),
+        window=st.integers(1, 40),
+        issue_width=st.integers(1, 8),
+        dispatch_width=st.integers(1, 8),
+    )
+    def test_machine_matches_cycle_stepped_oracle(
+        self, case, window, issue_width, dispatch_width
+    ):
+        trace, memory, effective = case
+        config = MachineConfig(
+            window=window, issue_width=issue_width, dispatch_width=dispatch_width
+        )
+        result = OutOfOrderMachine(config).run(
+            trace, memory_system=_FixedLatencyMemory(memory)
+        )
+        issue, cycles = _reference_schedule(
+            trace.dep1.tolist(), trace.dep2.tolist(), effective,
+            window, issue_width, dispatch_width,
+        )
+        assert result.issue_times.tolist() == issue
+        assert result.cycles == cycles
+
+    def test_drain_uses_the_memory_system_latency(self):
+        # A lone load the memory system charges 100 cycles completes at
+        # cycle 100, not at the trace's nominal 2-cycle latency.
+        trace = InstructionTrace(
+            dep1=np.array([NO_DEP], dtype=np.int64),
+            dep2=np.array([NO_DEP], dtype=np.int64),
+            latency=np.array([2], dtype=np.int16),
+            load_address=np.array([0], dtype=np.int64),
+        )
+        result = OutOfOrderMachine(MachineConfig(window=16)).run(
+            trace, memory_system=_FixedLatencyMemory([100])
+        )
+        assert result.cycles == 101

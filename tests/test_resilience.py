@@ -16,8 +16,8 @@ the recovered results equal a fault-free run exactly:
 * **corrupt cache entries** are detected by checksum, quarantined and
   recomputed; and
 * an **interrupted sweep** (including SIGKILL, which runs no cleanup)
-  resumes from its checkpoint journal, re-executing only the cells that
-  never finished.
+  resumes when rerun with the same cache directory, re-executing only
+  the cells that never finished.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import logging
 import os
 import pickle
+import stat
 import subprocess
 import sys
 import time
@@ -58,7 +59,6 @@ from repro.resilience import (
     FaultPlan,
     ResilientExecutor,
     RetryPolicy,
-    SweepJournal,
     corrupt_cache_entry,
 )
 from repro.workloads.suite import get_profile
@@ -328,39 +328,39 @@ def test_engine_results_survive_faults_byte_identical():
 
 def test_mid_batch_transient_keeps_indices_aligned(tmp_path):
     # Satellite: a chunk that fails mid-batch must not shift any other
-    # cell's payload, and the cells that did finish must be journaled.
+    # cell's payload, and the cells that did finish must be cached.
     cells = _small_cells(4)
     baseline = ExperimentEngine(jobs=1).map(cells)
-    journal = tmp_path / "sweep.journal"
+    cache_dir = tmp_path / "cache"
     plan = FaultPlan(events=(FaultEvent("transient", chunk=2, attempt=0),))
     engine = ExperimentEngine(
-        jobs=2, chunk_size=1, retry=FAST, fault_plan=plan, journal=journal
+        jobs=2, chunk_size=1, retry=FAST, fault_plan=plan, cache_dir=cache_dir
     )
     results = engine.map(cells)
     assert results == baseline  # per-index equality == aligned assembly
-    assert SweepJournal(journal).completed_count() == len(cells)
+    assert ResultCache(cache_dir).size() == len(cells)
 
 
-def test_partials_journaled_before_a_fatal_error_enable_resume(tmp_path):
+def test_partials_cached_before_a_fatal_error_enable_resume(tmp_path):
     cells = _small_cells(4)
     baseline = ExperimentEngine(jobs=1).map(cells)
-    journal = tmp_path / "sweep.journal"
+    cache_dir = tmp_path / "cache"
     plan = FaultPlan(
         events=tuple(
             FaultEvent("transient", chunk=2, attempt=a) for a in range(2)
         )
     )
     doomed = ExperimentEngine(
-        jobs=2, chunk_size=1, journal=journal, fault_plan=plan,
+        jobs=2, chunk_size=1, cache_dir=cache_dir, fault_plan=plan,
         retry=RetryPolicy(max_attempts=2, base_delay_s=0.001),
     )
     with pytest.raises(FatalError):
         doomed.map(cells)
-    done = SweepJournal(journal).completed_count()
+    done = ResultCache(cache_dir).size()
     assert done < len(cells)  # the faulted cell never completed
-    rescued = ExperimentEngine(jobs=1, journal=journal, resume=True)
+    rescued = ExperimentEngine(jobs=1, cache_dir=cache_dir)
     assert rescued.map(cells) == baseline
-    assert rescued.stats.resumed == done
+    assert rescued.stats.cache_hits == done
     assert rescued.stats.cache_misses == len(cells) - done
 
 
@@ -382,11 +382,6 @@ def test_cache_dir_empty_string_is_rejected():
         ExperimentEngine(cache_dir="")
 
 
-def test_resume_requires_a_journal():
-    with pytest.raises(EngineError, match="journal"):
-        ExperimentEngine(resume=True)
-
-
 # ---------------------------------------------------------------------------
 # cache integrity
 # ---------------------------------------------------------------------------
@@ -400,6 +395,23 @@ def test_entries_record_a_payload_checksum(tmp_path):
     entry = json.loads(cache.path(key).read_text())
     assert entry["schema"] == CACHE_SCHEMA_VERSION
     assert entry["checksum"] == payload_checksum({"tpi": [1.0, 2.0]})
+
+
+def test_store_fsyncs_the_entry_then_its_directory(tmp_path, monkeypatch):
+    # Durability is what makes a rerun a resume after power loss: the
+    # entry's bytes and then the rename must both reach the disk.
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    cache = ResultCache(tmp_path / "cache")
+    cell = _small_cells(1)[0]
+    cache.store(cache.key(cell), cell, {"tpi": [1.0]})
+    assert synced == [False, True]
 
 
 def test_corrupt_entry_is_quarantined_and_recomputed(tmp_path, caplog):
@@ -481,74 +493,30 @@ def test_verify_sweeps_the_whole_cache(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint journal + resume
+# resume: rerun with the same cache directory
 # ---------------------------------------------------------------------------
 
 
-def test_journal_round_trips_completed_cells(tmp_path):
-    journal = SweepJournal(tmp_path / "j.journal")
-    cells = _small_cells(2)
-    for i, cell in enumerate(cells):
-        journal.record(journal.key(cell), cell, {"tpi": [float(i)]}, 0.1)
-    loaded = journal.load()
-    assert loaded[journal.key(cells[0])] == {"tpi": [0.0]}
-    assert loaded[journal.key(cells[1])] == {"tpi": [1.0]}
-    assert journal.completed_count() == 2
-
-
-def test_journal_tolerates_a_torn_tail(tmp_path):
-    path = tmp_path / "j.journal"
-    journal = SweepJournal(path)
-    cells = _small_cells(1)
-    journal.record(journal.key(cells[0]), cells[0], {"tpi": [1.0]}, 0.1)
-    with path.open("a") as fh:
-        fh.write('{"journal": 1, "event": "cell_done", "key": "abc",')  # SIGKILL
-    assert journal.completed_count() == 1  # torn line skipped, not fatal
-
-
-def test_journal_ignores_foreign_schema_records(tmp_path):
-    path = tmp_path / "j.journal"
-    path.write_text(
-        '{"journal": 999, "event": "cell_done", "key": "k", "payload": {}}\n'
-        '{"journal": 1, "event": "other", "key": "k", "payload": {}}\n'
-    )
-    assert SweepJournal(path).load() == {}
-
-
-def test_resume_serves_journaled_cells_without_recompute(tmp_path):
+def test_rerun_with_the_same_cache_dir_recomputes_only_missing_cells(tmp_path):
     cells = _small_cells(4)
     baseline = ExperimentEngine(jobs=1).map(cells)
-    journal = tmp_path / "sweep.journal"
-    ExperimentEngine(jobs=1, journal=journal).map(cells[:2])  # "interrupted"
-    resumed = ExperimentEngine(jobs=1, journal=journal, resume=True)
+    cache_dir = tmp_path / "cache"
+    ExperimentEngine(jobs=1, cache_dir=cache_dir).map(cells[:2])  # "interrupted"
+    resumed = ExperimentEngine(jobs=1, cache_dir=cache_dir)
     assert resumed.map(cells) == baseline
-    assert resumed.stats.resumed == 2
+    assert resumed.stats.cache_hits == 2
     assert resumed.stats.cache_misses == 2  # only the unfinished cells ran
 
 
-def test_journal_keys_are_content_addressed_so_stale_journals_miss(tmp_path):
-    # A journal written under a different technology fingerprint (e.g.
-    # before a recalibration) must silently stop matching, not serve
-    # wrong results.
-    cells = _small_cells(2)
-    path = tmp_path / "stale.journal"
-    stale = SweepJournal(path, fingerprint={"schema": -1, "fake": True})
-    for cell in cells:
-        stale.record(stale.key(cell), cell, {"tpi": [123.0]}, 0.1)
-    resumed = ExperimentEngine(jobs=1, journal=path, resume=True)
-    assert resumed.map(cells) == ExperimentEngine(jobs=1).map(cells)
-    assert resumed.stats.resumed == 0  # nothing matched
-
-
-def test_sigkilled_sweep_resumes_from_its_journal(tmp_path):
+def test_sigkilled_sweep_resumes_from_its_cache(tmp_path):
     # The real thing: a child process is SIGKILLed mid-sweep (no atexit,
-    # no finally blocks run) and the journal still resumes it.
+    # no finally blocks run) and rerunning with its cache resumes it.
     compress = get_profile("compress")
     cells = [
         cache_tpi_cell(compress, 400_000 + 10_000 * i, 20_000, (1, 2, 4))
         for i in range(8)
     ]
-    journal = tmp_path / "sweep.journal"
+    cache_dir = tmp_path / "cache"
     child = (
         "import sys\n"
         "from repro.engine.engine import ExperimentEngine\n"
@@ -557,43 +525,30 @@ def test_sigkilled_sweep_resumes_from_its_journal(tmp_path):
         "compress = get_profile('compress')\n"
         "cells = [cache_tpi_cell(compress, 400_000 + 10_000 * i, 20_000,\n"
         "                        (1, 2, 4)) for i in range(8)]\n"
-        "ExperimentEngine(jobs=1, journal=sys.argv[1]).map(cells)\n"
+        "ExperimentEngine(jobs=1, cache_dir=sys.argv[1]).map(cells)\n"
     )
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
-        [sys.executable, "-c", child, str(journal)], env=env
+        [sys.executable, "-c", child, str(cache_dir)], env=env
     )
     try:
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline and proc.poll() is None:
-            if journal.exists() and journal.read_text().count("\n") >= 1:
+            if ResultCache(cache_dir).size() >= 1:
                 break
             time.sleep(0.02)
         proc.kill()  # SIGKILL: no cleanup of any kind runs
     finally:
         proc.wait()
-    done = SweepJournal(journal).completed_count()
-    assert done >= 1  # the journal preserved finished work...
+    done = ResultCache(cache_dir).size()
+    assert done >= 1  # the cache preserved finished work...
     baseline = ExperimentEngine(jobs=1).map(cells)
-    resumed = ExperimentEngine(jobs=1, journal=journal, resume=True)
-    assert resumed.map(cells) == baseline  # ...and resume completes it
-    assert resumed.stats.resumed == done
+    resumed = ExperimentEngine(jobs=1, cache_dir=cache_dir)
+    assert resumed.map(cells) == baseline  # ...and a rerun completes it
+    assert resumed.stats.cache_hits == done
     assert resumed.stats.cache_misses == len(cells) - done
-
-
-def test_resumed_cells_are_written_through_to_the_cache(tmp_path):
-    cells = _small_cells(2)
-    journal = tmp_path / "sweep.journal"
-    ExperimentEngine(jobs=1, journal=journal).map(cells)
-    cache_dir = tmp_path / "cache"
-    resumed = ExperimentEngine(
-        jobs=1, cache_dir=cache_dir, journal=journal, resume=True
-    )
-    resumed.map(cells)
-    assert resumed.stats.resumed == 2
-    assert ResultCache(cache_dir).size() == 2  # journal hits seed the cache
 
 
 # ---------------------------------------------------------------------------

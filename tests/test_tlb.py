@@ -1,7 +1,9 @@
-"""Tests for the adaptive TLB extension."""
+"""Tests for the adaptive TLB extension, including a differential test
+of the page-stack fast path against a direct two-level TLB."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.tlb.adaptive import AdaptiveTlb
@@ -65,6 +67,84 @@ class TestHistogram:
         hist = self._hist(list(range(6)) * 4)
         hits = [hist.fast_hits(f) for f in range(1, 9)]
         assert hits == sorted(hits)
+
+
+class _TwoLevelTlb:
+    """Direct reference: a fast section and a backup section, each an
+    LRU list, holding disjoint pages.  A backup hit or a walk installs
+    the page as fast MRU; the fast LRU victim moves to backup MRU and the
+    backup LRU victim is dropped."""
+
+    def __init__(self, fast_entries, total_entries):
+        self.fast_entries = fast_entries
+        self.backup_entries = total_entries - fast_entries
+        self.fast = []  # MRU first
+        self.backup = []
+
+    def access(self, page):
+        if page in self.fast:
+            self.fast.remove(page)
+            self.fast.insert(0, page)
+            return "fast"
+        if page in self.backup:
+            self.backup.remove(page)
+            outcome = "backup"
+        else:
+            outcome = "walk"
+        self.fast.insert(0, page)
+        if len(self.fast) > self.fast_entries:
+            self.backup.insert(0, self.fast.pop())
+            if len(self.backup) > self.backup_entries:
+                self.backup.pop()
+        return outcome
+
+
+def _direct_counts(page_numbers, fast_entries, total_entries):
+    tlb = _TwoLevelTlb(fast_entries, total_entries)
+    outcomes = [tlb.access(p) for p in page_numbers]
+    return tuple(outcomes.count(k) for k in ("fast", "backup", "walk"))
+
+
+def _stack_counts(hist, fast_entries):
+    return (
+        hist.fast_hits(fast_entries),
+        hist.backup_hits(fast_entries),
+        hist.walk_count(),
+    )
+
+
+class TestEquivalenceWithDirectTlb:
+    """One page-stack pass must match the direct two-level TLB's fast
+    hits, backup hits and walks at every boundary position."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        total=st.integers(min_value=1, max_value=24),
+    )
+    def test_counts_agree(self, data, total):
+        n_pages = data.draw(st.integers(min_value=1, max_value=3 * total + 2))
+        seq = data.draw(
+            st.lists(st.integers(min_value=0, max_value=n_pages), min_size=1,
+                     max_size=300)
+        )
+        hist = TlbDepthHistogram.from_depths(
+            total, PageStackEngine(total).process(_pages(seq))
+        )
+        for fast in range(1, total + 1):
+            assert _stack_counts(hist, fast) == _direct_counts(seq, fast, total)
+
+    def test_counts_agree_paper_tlb(self):
+        rng = np.random.default_rng(11)
+        seq = rng.integers(0, 3 * TLB_TOTAL_ENTRIES, size=3000).tolist()
+        hist = TlbDepthHistogram.from_depths(
+            TLB_TOTAL_ENTRIES,
+            PageStackEngine(TLB_TOTAL_ENTRIES).process(_pages(seq)),
+        )
+        for fast in TlbTimingModel().boundaries():
+            assert _stack_counts(hist, fast) == _direct_counts(
+                seq, fast, TLB_TOTAL_ENTRIES
+            )
 
 
 class TestTiming:
