@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-engine bench-lint obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke distributed-smoke lint lint-graph typecheck ruff check figures examples clean
+.PHONY: install test bench bench-engine bench-lint obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke lint lint-graph typecheck ruff check figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -56,14 +56,6 @@ loadtest-smoke:
 # Mirrors the CI chaos job.
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/chaos_smoke.py
-
-# Boot `repro serve --workers` plus two real `repro worker` processes,
-# drive a fixed-seed loadtest at the service, SIGKILL one worker while
-# the load is in flight, and assert the SLOs still hold, chunks were
-# dispatched remotely, and SIGTERM drains cleanly.  Mirrors the CI
-# distributed job.
-distributed-smoke:
-	PYTHONPATH=src $(PYTHON) scripts/distributed_smoke.py
 
 # Domain-aware static analysis (src/repro/analysis): determinism,
 # unit-suffix discipline, typed errors, observability naming.  Always

@@ -78,55 +78,6 @@ def test_bench_tracing_off_service_overhead(benchmark):
 
 
 @pytest.mark.service
-def test_bench_dispatch_off_service_overhead(benchmark):
-    """Without ``--workers``, the dispatch plane is a pair of ``None``
-    guards on the engine's batch path.
-
-    Every engine batch now asks "is a dispatch plane attached, and is
-    it ready?" before falling through to the local resilient pool.
-    Measure a warm-hit storm against a workers-off service, price one
-    pass through those disabled guards, and assert guards x batches
-    stays under 5% of the storm's wall time.
-    """
-    engine = ExperimentEngine()
-    config = ServiceConfig(port=0)
-    assert config.workers is False  # the fast path under test
-    with ServiceThread(engine, config) as svc:
-        assert svc.service.plane is None  # workers-off: nothing attached
-        assert engine.dispatcher is None
-        ServiceClient(svc.url).optimize(
-            OptimizationRequest(
-                "dcache", "compress", n_refs=4096, warmup_refs=512
-            )
-        )
-        benchmark.pedantic(lambda: _storm(svc.url), rounds=3, iterations=1)
-        storm_s = benchmark.stats.stats.min
-
-        # Price one disabled-state pass: the exact guard sequence
-        # ExperimentEngine._compute walks per batch with no plane.
-        dispatcher = engine.dispatcher
-        reps = 100_000
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            dispatching = dispatcher is not None and dispatcher.ready()
-            if dispatcher is not None:  # pragma: no cover - disabled
-                pass
-            if dispatching:  # pragma: no cover - disabled branch
-                pass
-        per_batch_s = (time.perf_counter() - t0) / reps
-
-    # Worst case: every request becomes its own engine batch.
-    n_batches = STORM["tenants"] * STORM["requests_per_tenant"]
-    overhead_s = n_batches * per_batch_s
-    print(
-        f"\nwarm storm {storm_s * 1e3:.2f} ms, {n_batches} batches, "
-        f"{per_batch_s * 1e9:.0f} ns of disabled guards per batch "
-        f"-> estimated overhead {overhead_s / storm_s:.3%} (limit 5%)"
-    )
-    assert overhead_s < 0.05 * storm_s
-
-
-@pytest.mark.service
 def test_bench_journal_off_service_overhead(benchmark):
     """With no ``--job-journal``, the robustness plumbing is no-op guards.
 

@@ -1,12 +1,11 @@
 """Event-loop concurrency rules (RPR009, RPR010) — project pass.
 
-The sweep service (PR 6), tracing SLOs (PR 7) and the dispatch plane
-(PR 9) all run on one asyncio event loop.  A single synchronous
-``fsync`` or ``time.sleep`` on that loop stalls *every* in-flight
-request — the latency SLOs the loadtest enforces are only as good as
-the guarantee that nothing blocking is reachable from a coroutine.
-These rules prove the guarantee statically over the call graph built
-by :mod:`repro.analysis.callgraph`.
+The sweep service and its request tracing run on one asyncio event
+loop.  A single synchronous ``fsync`` or ``time.sleep`` on that loop
+stalls *every* in-flight request — the latency SLOs the loadtest
+enforces are only as good as the guarantee that nothing blocking is
+reachable from a coroutine.  These rules prove the guarantee
+statically over the call graph built by :mod:`repro.analysis.callgraph`.
 """
 
 from __future__ import annotations

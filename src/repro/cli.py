@@ -779,7 +779,6 @@ def _serve(args, engine: ExperimentEngine) -> int:
     """Boot the sweep service and block until interrupted."""
     from contextlib import ExitStack
 
-    from repro.dispatch.plane import DispatchPolicy
     from repro.obs.trace import Tracer
     from repro.service import QuotaPolicy, ServiceConfig, run_service
     from repro.service.breaker import BreakerPolicy
@@ -801,8 +800,6 @@ def _serve(args, engine: ExperimentEngine) -> int:
             reset_timeout_s=args.breaker_reset,
         ),
         drain_timeout_s=args.drain_timeout,
-        workers=args.workers,
-        dispatch=DispatchPolicy(lease_s=args.lease),
     )
 
     def on_ready(service) -> None:
@@ -815,28 +812,6 @@ def _serve(args, engine: ExperimentEngine) -> int:
             # shard of the service's lifetime lands in this one file.
             stack.enter_context(Tracer(args.trace))
         run_service(engine, config, on_ready=on_ready)
-    return 0
-
-
-def _worker(args) -> int:
-    """Serve one dispatch worker until SIGTERM/SIGINT."""
-    from repro.dispatch.worker import WorkerConfig, run_worker
-
-    config = WorkerConfig(
-        host=args.host,
-        port=args.port,
-        slots=args.slots,
-        broker_url=args.broker,
-    )
-
-    def on_ready(server) -> None:
-        # The chaos drill and smoke script parse this line for the port.
-        print(
-            f"worker serving on http://{config.host}:{server.port}",
-            flush=True,
-        )
-
-    run_worker(config, on_ready=on_ready)
     return 0
 
 
@@ -1088,41 +1063,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-timeout", type=float, default=10.0, metavar="S",
         help="SIGTERM drain budget for in-flight batches (default: 10)",
     )
-    servep.add_argument(
-        "--workers", action="store_true",
-        help="enable the distributed worker plane: expose /v1/workers/* "
-             "registration routes and dispatch cell chunks to registered "
-             "`repro worker` processes under time-bounded leases "
-             "(default: evaluate locally)",
-    )
-    servep.add_argument(
-        "--lease", type=float, default=30.0, metavar="S",
-        help="seconds a worker holds a chunk lease before the broker "
-             "declares it lost and fails the chunk over (default: 30)",
-    )
-    workerp = sub.add_parser(
-        "worker",
-        help="serve one dispatch worker: register with a `repro serve "
-             "--workers` broker, heartbeat, and evaluate leased cell "
-             "chunks (POST /v1/evaluate, GET /healthz)",
-    )
-    workerp.add_argument(
-        "--broker", default=None, metavar="URL",
-        help="broker base URL to register with and heartbeat against "
-             "(default: standalone, no registration)",
-    )
-    workerp.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
-    )
-    workerp.add_argument(
-        "--port", type=int, default=0,
-        help="bind port; 0 picks an ephemeral port (default: 0)",
-    )
-    workerp.add_argument(
-        "--slots", type=int, default=1, metavar="N",
-        help="concurrent chunk leases this worker accepts (default: 1)",
-    )
     chaosp = sub.add_parser(
         "chaos",
         help="run the deterministic chaos drill: SIGKILL/recovery, "
@@ -1319,8 +1259,6 @@ def _dispatch(args) -> int:
         return _robust_check()
     elif args.command == "serve":
         return _serve(args, _engine_from_args(args))
-    elif args.command == "worker":
-        return _worker(args)
     elif args.command == "loadtest":
         return _loadtest(args)
     elif args.command == "chaos":

@@ -36,7 +36,7 @@ import time
 import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.engine.cache import ResultCache
 from repro.engine.cells import SweepCell
@@ -48,9 +48,6 @@ from repro.obs.stitch import TraceContext, stitch_shards
 from repro.resilience.executor import ResilientExecutor
 from repro.resilience.faults import FaultPlan, corrupt_cache_entry
 from repro.resilience.policy import RetryPolicy
-
-if TYPE_CHECKING:
-    from repro.dispatch.plane import DispatchPlane
 
 #: Chunks submitted per worker: small enough to load-balance uneven
 #: cells, large enough to amortise pickling and per-future overhead.
@@ -102,12 +99,6 @@ class ExperimentEngine:
     fault_plan:
         Deterministic fault injection for tests and drills; ``None``
         (the default, and the production setting) injects nothing.
-    dispatcher:
-        A :class:`~repro.dispatch.DispatchPlane` to fan chunks out to
-        remote ``repro worker`` processes.  ``None`` (the default)
-        keeps everything on the local pool; a plane with no healthy
-        workers degrades to the local pool per batch, so attaching one
-        never changes results — only where they are computed.
     """
 
     jobs: int = 1
@@ -116,7 +107,6 @@ class ExperimentEngine:
     chunk_size: int | None = None
     retry: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
-    dispatcher: "DispatchPlane | None" = None
     stats: EngineStats = field(default_factory=EngineStats)
 
     def __post_init__(self) -> None:
@@ -313,39 +303,18 @@ class ExperimentEngine:
         tracer = obs.current_tracer()
         shard_dir: str | None = None
         trace_ctx: TraceContext | None = None
-        # Remote dispatch always shards (the workers are other hosts);
-        # the local pool only when it actually fans out.
-        dispatching = self.dispatcher is not None and self.dispatcher.ready()
-        if tracer.enabled and (
-            dispatching or (self.jobs > 1 and len(chunks) > 1)
-        ):
+        if tracer.enabled and self.jobs > 1 and len(chunks) > 1:
             shard_dir = tempfile.mkdtemp(prefix="repro-trace-shards-")
             trace_ctx = TraceContext(trace_id=tracer.trace_id, parent_id=span.id)
 
-        # The executor seam: a dispatch plane with healthy workers
-        # supplies a RemoteExecutor; otherwise (including mid-sweep
-        # degradation handled inside the plane) the local resilient
-        # pool runs the batch.  When no dispatcher is attached this is
-        # a single None check — the workers-off hot path is unchanged.
-        executor = None
-        if self.dispatcher is not None:
-            executor = self.dispatcher.executor(
-                jobs=self.jobs,
-                policy=policy,
-                fault_plan=self.fault_plan,
-                span=span,
-                trace_ctx=trace_ctx,
-                shard_dir=shard_dir,
-            )
-        if executor is None:
-            executor = ResilientExecutor(
-                jobs=self.jobs,
-                policy=policy,
-                fault_plan=self.fault_plan,
-                span=span,
-                trace_ctx=trace_ctx,
-                shard_dir=shard_dir,
-            )
+        executor = ResilientExecutor(
+            jobs=self.jobs,
+            policy=policy,
+            fault_plan=self.fault_plan,
+            span=span,
+            trace_ctx=trace_ctx,
+            shard_dir=shard_dir,
+        )
         try:
             executor.run(chunks, on_chunk_done=on_chunk_done)
         finally:

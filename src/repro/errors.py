@@ -112,18 +112,6 @@ class TransientError(ReproError):
     """
 
 
-class WorkerLostError(TransientError):
-    """A remote dispatch worker died or went unreachable mid-lease.
-
-    Raised by the dispatch plane when a leased chunk's worker drops the
-    connection (SIGKILL, host loss), misses its lease deadline, or
-    answers with a malformed payload.  Subclasses
-    :class:`TransientError` because the *chunk* did nothing wrong — the
-    lease is re-enqueued onto a healthy worker (or the local pool) and
-    the retry policy governs the overall budget.
-    """
-
-
 class FatalError(ReproError):
     """A failure that retrying cannot fix.
 

@@ -59,10 +59,6 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "service.request",
         "service.queue_wait",
         "broker.batch",
-        # Distributed worker plane: one ``worker.evaluate`` per leased
-        # chunk, written by a remote ``repro worker`` process into a
-        # span shard and stitched cross-host (repro.obs.stitch).
-        "worker.evaluate",
         # Degradation study harness.
         "degradation_study",
         "degradation_cell",
@@ -74,7 +70,6 @@ SPAN_NAMES: frozenset[str] = frozenset(
 EVENT_AREAS: frozenset[str] = frozenset(
     {
         "controller",
-        "dispatch",
         "engine",
         "manager",
         "robust",
@@ -88,15 +83,6 @@ EVENT_NAMES: frozenset[str] = frozenset(
     {
         "controller.choose",
         "controller.phase_change",
-        "dispatch.duplicate_result",
-        "dispatch.failover",
-        "dispatch.hedge",
-        "dispatch.hedge_win",
-        "dispatch.lease_expired",
-        "dispatch.local_fallback",
-        "dispatch.worker_dead",
-        "dispatch.worker_deregistered",
-        "dispatch.worker_registered",
         "engine.cell",
         "engine.retry",
         "engine.chunk_timeout",
@@ -114,7 +100,6 @@ EVENT_NAMES: frozenset[str] = frozenset(
         "robust.tpi_regression",
         "robust.watchdog_fallback",
         "service.batch_flush",
-        "service.batch_requeued",
         "service.breaker_transition",
         "service.deadline_exceeded",
         "service.draining",
@@ -173,20 +158,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "repro_engine_retries_total",
         "repro_engine_runs_total",
         "repro_engine_serial_fallbacks_total",
-        # Distributed worker plane (leases, heartbeats, hedges).
-        "repro_dispatch_chunk_seconds",
-        "repro_dispatch_duplicate_results_total",
-        "repro_dispatch_failovers_total",
-        "repro_dispatch_heartbeats_total",
-        "repro_dispatch_hedge_wins_total",
-        "repro_dispatch_hedges_total",
-        "repro_dispatch_lease_expired_total",
-        "repro_dispatch_leases_total",
-        "repro_dispatch_local_fallbacks_total",
-        "repro_dispatch_missed_heartbeats_total",
-        "repro_dispatch_registrations_total",
-        "repro_dispatch_remote_chunks_total",
-        "repro_dispatch_workers",
         # Observability stitching.
         "repro_obs_shard_torn_lines_total",
         # Degraded-hardware robustness layer.
@@ -202,7 +173,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "repro_robust_watchdog_regressions_total",
         # Sweep service.
         "repro_service_batch_cells",
-        "repro_service_batch_requeues_total",
         "repro_service_batches_total",
         "repro_service_breaker_state",
         "repro_service_breaker_transitions_total",

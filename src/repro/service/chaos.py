@@ -27,14 +27,6 @@ flip bytes in the middle of one record, and replay.  Invariants:
 exactly the damaged line is counted corrupt; every intact record
 round-trips; replay still isolates the correct incomplete set.
 
-**Phase 4 — worker SIGKILL** (real ``repro worker`` subprocesses).
-Boot a ``--workers`` service, register two workers, submit a batch
-whose first chunk hangs under an injected fault (pinning that lease on
-the first worker), and SIGKILL the leaseholder mid-batch.  Invariants:
-every job still completes; the sweep results are byte-identical to a
-single-host baseline of the same requests; at least one failover was
-recorded; zero duplicate result deliveries were admitted.
-
 The harness exits non-zero on the first violated invariant, which is
 what CI's ``chaos-smoke`` job gates on.
 """
@@ -101,14 +93,6 @@ class ChaosReport:
     corrupt_records: int = 0
     #: Phase 3: intact records that round-tripped through replay.
     surviving_records: int = 0
-    #: Phase 4: jobs submitted to the two-worker service.
-    worker_jobs: int = 0
-    #: Phase 4: failovers recorded after the leaseholder was SIGKILLed.
-    worker_failovers: float = 0.0
-    #: Phase 4: duplicate result deliveries admitted (must stay 0).
-    worker_duplicates: float = 0.0
-    #: Phase 4: drill results byte-identical to the single-host baseline.
-    worker_results_identical: bool = False
     #: Invariant violations, in the order they were detected.
     violations: list[str] = field(default_factory=list)
 
@@ -129,10 +113,6 @@ def format_report(report: ChaosReport) -> str:
         f"shed observed: {report.breaker_shed_observed}",
         f"  journal corruption: {report.corrupt_records} corrupt, "
         f"{report.surviving_records} survived",
-        f"  worker kill: {report.worker_jobs} jobs, "
-        f"{report.worker_failovers:.0f} failover(s), "
-        f"{report.worker_duplicates:.0f} duplicate(s), "
-        f"byte-identical: {report.worker_results_identical}",
     ]
     if report.violations:
         lines.append("violated invariants:")
@@ -459,158 +439,6 @@ def _run_corruption_phase(report: ChaosReport, workdir: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# phase 4: SIGKILL a worker holding a lease mid-batch
-# ---------------------------------------------------------------------------
-
-
-def _spawn_worker(broker_url: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    src_root = Path(__file__).resolve().parents[2]
-    env["PYTHONPATH"] = str(src_root) + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker",
-            "--broker", broker_url, "--port", "0",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-
-
-def _run_worker_phase(report: ChaosReport, n_jobs: int = 4) -> None:
-    import json
-
-    # Lazy: repro.dispatch.plane depends on repro.service.breaker, so a
-    # module-level import here would close an import cycle through the
-    # package __init__.
-    from repro.dispatch.plane import DispatchPolicy
-    from repro.obs.metrics import metrics
-
-    seed = report.seed
-    requests = [_chaos_request(seed, 10 + i) for i in range(n_jobs)]
-
-    # Single-host baseline first: the same requests, no worker plane.
-    baseline: list[dict] = []
-    with ServiceThread(
-        ExperimentEngine(), ServiceConfig(port=0, batch_window_s=0.0)
-    ) as thread:
-        client = ServiceClient(thread.url, timeout_s=60.0)
-        for request in requests:
-            status = client.submit(request, wait=True)
-            if status.state.value != "done":
-                report.violations.append(
-                    "worker: baseline job did not complete "
-                    f"(state {status.state.value})"
-                )
-                return
-            baseline.append(status.result.to_dict())
-
-    # The drill: chunk 0's first attempt hangs under the injected
-    # fault, which pins that lease on the first-registered worker long
-    # enough to SIGKILL it deterministically mid-batch.  The generous
-    # lease and disabled hedging ensure the recorded failover can only
-    # come from the kill itself.
-    plan = FaultPlan(
-        events=(FaultEvent("hang", chunk=0, attempt=0, hang_s=30.0),)
-    )
-    engine = ExperimentEngine(jobs=2, chunk_size=1, fault_plan=plan)
-    config = ServiceConfig(
-        port=0,
-        batch_window_s=_CRASH_BATCH_WINDOW_S,
-        workers=True,
-        dispatch=DispatchPolicy(
-            lease_s=60.0,
-            hedge_min_completed=1_000,
-            heartbeat_interval_s=0.25,
-            heartbeat_timeout_s=1.5,
-        ),
-    )
-    failovers = metrics().counter("repro_dispatch_failovers_total")
-    duplicates = metrics().counter("repro_dispatch_duplicate_results_total")
-    failovers_before = failovers.value()
-    duplicates_before = duplicates.value()
-    workers: list[subprocess.Popen] = []
-    results: list[dict] = []
-    try:
-        with ServiceThread(engine, config) as thread:
-            registry = thread.service.plane.registry
-            for i in range(2):
-                workers.append(_spawn_worker(thread.url))
-                deadline = time.monotonic() + 30.0
-                while len(registry.workers()) < i + 1:
-                    if time.monotonic() > deadline:
-                        raise ChaosError(
-                            f"worker {i} did not register within 30s"
-                        )
-                    time.sleep(0.05)
-            # Chunk 0 is always offered to the lowest-id idle worker,
-            # which is the first registration: workers[0].
-            victim_id = registry.workers()[0].worker_id
-            client = ServiceClient(thread.url, timeout_s=60.0)
-            acked = [
-                client.submit(request, wait=False).job_id
-                for request in requests
-            ]
-            report.worker_jobs = len(acked)
-            # SIGKILL lands only once the victim provably holds its
-            # (hung) lease — mid-batch by construction.
-            deadline = time.monotonic() + 30.0
-            while True:
-                victim = next(
-                    (
-                        w for w in registry.workers()
-                        if w.worker_id == victim_id
-                    ),
-                    None,
-                )
-                if victim is not None and victim.leases:
-                    break
-                if time.monotonic() > deadline:
-                    raise ChaosError(
-                        "the first worker never took a lease within 30s"
-                    )
-                time.sleep(0.02)
-            workers[0].send_signal(signal.SIGKILL)
-            workers[0].wait(timeout=10)
-            for job_id in acked:
-                status = client.wait(job_id, timeout_s=60.0)
-                if status.state.value != "done":
-                    report.violations.append(
-                        f"worker: job {job_id} did not complete after "
-                        f"the SIGKILL (state {status.state.value})"
-                    )
-                    return
-                results.append(status.result.to_dict())
-    finally:
-        for proc in workers:
-            _kill_server(proc)
-
-    report.worker_failovers = failovers.value() - failovers_before
-    report.worker_duplicates = duplicates.value() - duplicates_before
-    report.worker_results_identical = (
-        json.dumps(results, sort_keys=True)
-        == json.dumps(baseline, sort_keys=True)
-    )
-    if not report.worker_results_identical:
-        report.violations.append(
-            "worker: sweep results after the mid-batch SIGKILL differ "
-            "from the single-host baseline"
-        )
-    if report.worker_failovers < 1:
-        report.violations.append(
-            "worker: SIGKILLing a leaseholder recorded no failover"
-        )
-    if report.worker_duplicates:
-        report.violations.append(
-            f"worker: {report.worker_duplicates:.0f} duplicate result "
-            "deliveries were admitted; dedup must swallow them"
-        )
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -643,8 +471,4 @@ def run_chaos(seed: int = 0, workdir: str | Path | None = None) -> ChaosReport:
         _run_corruption_phase(report, base)
     except ReproError as exc:
         report.violations.append(f"corruption phase aborted: {exc}")
-    try:
-        _run_worker_phase(report)
-    except ReproError as exc:
-        report.violations.append(f"worker phase aborted: {exc}")
     return report

@@ -11,13 +11,6 @@ four routes, JSON in/out, connection-per-request:
   :class:`~repro.obs.metrics.MetricsRegistry`;
 * ``GET /healthz`` — liveness.
 
-With ``workers=True`` (the CLI's ``serve --workers``) four more routes
-expose the distributed dispatch plane (:mod:`repro.dispatch`):
-``POST /v1/workers/register`` / ``heartbeat`` / ``deregister`` plus
-``GET /v1/workers``, and the engine's chunk batches are leased out to
-registered ``repro worker`` processes (falling back to the local pool
-whenever none is healthy).
-
 Error mapping is the contract the client retries against:
 :class:`~repro.errors.ApiError` -> ``400``,
 :class:`~repro.errors.QuotaExceededError` -> ``429`` + ``Retry-After``
@@ -48,7 +41,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.types import OptimizationRequest
@@ -67,18 +60,6 @@ from repro.service.broker import SweepBroker
 from repro.service.journal import JobJournal
 from repro.service.quotas import QuotaPolicy, TenantQuotas
 from repro.service.warmcache import WarmResultStore
-
-if TYPE_CHECKING:
-    from repro.dispatch.plane import DispatchPlane, DispatchPolicy
-
-
-def _default_dispatch_policy() -> DispatchPolicy:
-    # Imported lazily: repro.dispatch.plane itself depends on
-    # repro.service.breaker, so a module-level import here would close
-    # an import cycle through the package __init__.
-    from repro.dispatch.plane import DispatchPolicy
-
-    return DispatchPolicy()
 
 #: Largest accepted request body; optimization requests are tiny.
 MAX_BODY_BYTES: int = 1 << 20
@@ -132,12 +113,6 @@ class ServiceConfig:
     #: SIGTERM drain budget: how long :meth:`SweepService.stop` lets
     #: in-flight batches finish before cancelling them.
     drain_timeout_s: float = 10.0
-    #: Enable the distributed worker plane: ``repro worker`` processes
-    #: may register via ``/v1/workers/*`` and engine batches are leased
-    #: out to them (local-pool fallback when none is healthy).
-    workers: bool = False
-    #: Worker-plane tunables (leases, heartbeats, hedging).
-    dispatch: DispatchPolicy = field(default_factory=_default_dispatch_policy)
 
 
 class SweepService:
@@ -159,15 +134,6 @@ class SweepService:
             ),
             breaker_policy=config.breaker,
         )
-        # The dispatch plane is attached to the *engine*: the broker's
-        # batches flow through engine.map unchanged, and the engine's
-        # executor seam decides remote-vs-local per batch.
-        self.plane: DispatchPlane | None = None
-        if config.workers:
-            from repro.dispatch.plane import DispatchPlane
-
-            self.plane = DispatchPlane(policy=config.dispatch)
-            engine.dispatcher = self.plane
         self._server: asyncio.base_events.Server | None = None
 
     @property
@@ -343,75 +309,8 @@ class SweepService:
             )
         if path.startswith("/v1/jobs/") and method == "GET":
             return self._job_status(path.removeprefix("/v1/jobs/"))
-        if path == "/v1/workers" and method == "GET":
-            return self._workers_list()
-        if path.startswith("/v1/workers/") and method == "POST":
-            return self._workers_post(
-                path.removeprefix("/v1/workers/"), body
-            )
         return _json_response(
             404, {"error": f"no route for {method} {path}"}
-        )
-
-    # -- worker plane ------------------------------------------------------
-
-    def _workers_list(self) -> tuple[int, dict, bytes]:
-        if self.plane is None:
-            return _json_response(
-                404,
-                {"error": "worker plane disabled; start with serve --workers"},
-            )
-        return _json_response(
-            200,
-            {"workers": [w.describe() for w in self.plane.registry.workers()]},
-        )
-
-    def _workers_post(
-        self, action: str, body: bytes
-    ) -> tuple[int, dict, bytes]:
-        if self.plane is None:
-            return _json_response(
-                404,
-                {"error": "worker plane disabled; start with serve --workers"},
-            )
-        try:
-            document = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return _json_response(400, {"error": f"body is not JSON: {exc}"})
-        if not isinstance(document, dict):
-            return _json_response(
-                400, {"error": f"body must be an object, got {document!r}"}
-            )
-        registry = self.plane.registry
-        if action == "register":
-            url = document.get("url")
-            if not isinstance(url, str):
-                return _json_response(
-                    400, {"error": "register body needs a string 'url'"}
-                )
-            try:
-                state = registry.register(url, slots=int(document.get("slots", 1)))
-            except (ServiceError, ValueError) as exc:
-                return _json_response(400, {"error": str(exc)})
-            return _json_response(
-                200,
-                {
-                    "worker_id": state.worker_id,
-                    "heartbeat_interval_s": self.plane.policy.heartbeat_interval_s,
-                },
-            )
-        if action == "heartbeat":
-            worker_id = document.get("worker_id")
-            ok = isinstance(worker_id, str) and registry.heartbeat(worker_id)
-            # ok=False tells a forgotten worker (broker restart, reap)
-            # to re-register rather than heartbeat into the void.
-            return _json_response(200, {"ok": ok})
-        if action == "deregister":
-            worker_id = document.get("worker_id")
-            ok = isinstance(worker_id, str) and registry.deregister(worker_id)
-            return _json_response(200, {"ok": ok})
-        return _json_response(
-            404, {"error": f"no worker action {action!r}"}
         )
 
     async def _optimize(

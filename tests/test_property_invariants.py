@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) for core invariants."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,91 +176,3 @@ class TestWireProperties:
         split = buffered_wire_delay_ns(a, t) + buffered_wire_delay_ns(b, t)
         assert whole <= split + 1e-12
 
-
-class TestDistributedDeterminism:
-    """Satellite: lease failover must not perturb results.
-
-    The same sweep evaluated (a) in the local pool, (b) fanned out over
-    two real ``repro worker`` subprocesses, and (c) over two workers
-    with one SIGKILLed mid-chunk by an injected crash fault must be
-    byte-identical — failover re-evaluates, it never approximates.
-    """
-
-    _READY = re.compile(r"serving on (http://[\d.]+:\d+)")
-
-    def _spawn_worker(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env["PYTHONUNBUFFERED"] = "1"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--port", "0"],
-            env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, text=True,
-        )
-        line = proc.stdout.readline()
-        match = self._READY.search(line)
-        if not match:
-            proc.kill()
-            proc.wait()
-            raise RuntimeError(f"worker failed to start: {line!r}")
-        return proc, match.group(1)
-
-    def _cells(self):
-        from repro.engine.cells import queue_tpi_cell
-        from repro.workloads.suite import get_profile
-
-        compress = get_profile("compress")
-        return [
-            queue_tpi_cell(compress, 2_000 + 100 * i, (16, 32))
-            for i in range(4)
-        ]
-
-    def _remote_map(self, cells, fault_plan=None):
-        from repro.dispatch.plane import DispatchPlane, DispatchPolicy
-        from repro.engine.engine import ExperimentEngine
-
-        policy = DispatchPolicy(
-            heartbeat_timeout_s=300.0,  # in-test workers do not beat
-            hedge_min_completed=1_000,  # isolate failover from hedging
-        )
-        plane = DispatchPlane(policy=policy)
-        workers = [self._spawn_worker() for _ in range(2)]
-        try:
-            for _, url in workers:
-                plane.registry.register(url, slots=1)
-            engine = ExperimentEngine(
-                jobs=2, chunk_size=1, dispatcher=plane, fault_plan=fault_plan
-            )
-            return engine.map(cells)
-        finally:
-            for proc, _ in workers:
-                proc.kill()
-                proc.wait()
-                proc.stdout.close()
-
-    def test_failover_preserves_byte_identical_results(self):
-        import json
-
-        from repro.engine.engine import ExperimentEngine
-        from repro.resilience import FaultEvent, FaultPlan
-
-        cells = self._cells()
-        local = ExperimentEngine(jobs=2, chunk_size=1).map(cells)
-        canon = json.dumps(local, sort_keys=True)
-
-        remote = self._remote_map(cells)
-        assert json.dumps(remote, sort_keys=True) == canon
-
-        # Chunk 0's first attempt os._exit()s the worker that leased it
-        # mid-batch; the failover re-evaluation must change nothing.
-        plan = FaultPlan(events=(FaultEvent("crash", chunk=0, attempt=0),))
-        killed = self._remote_map(cells, fault_plan=plan)
-        assert json.dumps(killed, sort_keys=True) == canon
