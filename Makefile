@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench bench-engine bench-lint obs-check resilience-check robust-check service-smoke loadtest-smoke chaos-smoke lint lint-graph typecheck ruff check figures examples clean
+.PHONY: install test bench bench-engine bench-lint service-smoke loadtest-smoke lint lint-graph typecheck ruff check figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -16,27 +16,6 @@ bench:
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/test_bench_engine.py --benchmark-only -s
 
-# Tiny traced sweep, every record validated against the trace schema
-# (PYTHONPATH=src so it works from a bare checkout too).
-obs-check:
-	PYTHONPATH=src $(PYTHON) -m repro obs check
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_schema.py
-
-# Drill every recovery path: injected crash/hang/transient/corruption
-# faults recovered byte-identically, plus an interrupted sweep resumed
-# by rerunning it against the same cache directory (includes a real
-# SIGKILL test).
-resilience-check:
-	PYTHONPATH=src $(PYTHON) -m repro resilience check
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_resilience.py
-
-# Degraded-hardware drill: seeded increment faults + sensor noise over
-# all four adaptive structures, watchdog recovery verified, plus the
-# robustness unit/property tests.
-robust-check:
-	PYTHONPATH=src $(PYTHON) -m repro robust check
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_robust.py tests/test_robust_invariants.py
-
 # Boot `repro serve` on an ephemeral port, run one end-to-end query and
 # a /metrics scrape through the typed client, tear down within a
 # deadline.  Mirrors the CI service job.
@@ -49,13 +28,6 @@ service-smoke:
 # trace end to end.  Mirrors the CI loadtest job.
 loadtest-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/loadtest_smoke.py
-
-# Run the deterministic chaos drill (`repro chaos`): SIGKILL a
-# journaled server mid-batch and assert every acked job recovers,
-# trip/shed/recover the circuit breaker, replay a corrupted journal.
-# Mirrors the CI chaos job.
-chaos-smoke:
-	PYTHONPATH=src $(PYTHON) scripts/chaos_smoke.py
 
 # Domain-aware static analysis (src/repro/analysis): determinism,
 # unit-suffix discipline, typed errors, observability naming.  Always

@@ -46,7 +46,7 @@ from repro.obs.metrics import metrics
 from repro.obs.profile import add_sample, profiled
 from repro.obs.stitch import TraceContext, stitch_shards
 from repro.resilience.executor import ResilientExecutor
-from repro.resilience.faults import FaultPlan, corrupt_cache_entry
+from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
 
 #: Chunks submitted per worker: small enough to load-balance uneven
@@ -97,8 +97,9 @@ class ExperimentEngine:
         per-chunk timeouts and pool respawns; ``None`` uses the policy
         defaults (3 attempts, no timeout, 2 respawns).
     fault_plan:
-        Deterministic fault injection for tests and drills; ``None``
-        (the default, and the production setting) injects nothing.
+        Deterministic worker fault injection for the resilience tests;
+        ``None`` (the default, and the production setting) injects
+        nothing.
     """
 
     jobs: int = 1
@@ -179,7 +180,6 @@ class ExperimentEngine:
         self, cells: list[SweepCell], span, deadline_s: float | None = None
     ) -> list[dict]:
         start = time.perf_counter()
-        self._apply_cache_corruption_faults(cells)
 
         payloads: list[dict | None] = [None] * len(cells)
         walls: list[float] = [0.0] * len(cells)
@@ -252,14 +252,6 @@ class ExperimentEngine:
                 serial_fallback=report.serial_fallback,
             )
         return payloads  # type: ignore[return-value]
-
-    def _apply_cache_corruption_faults(self, cells: list[SweepCell]) -> None:
-        """Fire the fault plan's ``corrupt_cache`` events (tests/drills)."""
-        if self.fault_plan is None or self._cache is None:
-            return
-        for idx in self.fault_plan.corrupt_targets():
-            if idx < len(cells):
-                corrupt_cache_entry(self._cache, self._cache.key(cells[idx]))
 
     def _compute(self, cells, misses, keys, payloads, walls, span, deadline_s=None):
         """Evaluate the cache misses resiliently, persisting as they land.

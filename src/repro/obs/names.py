@@ -36,7 +36,6 @@ SPAN_NAMES: frozenset[str] = frozenset(
         "ablation",
         "extension",
         "degrade",
-        "obs_check",
         # Adaptive-control hierarchy (run -> interval -> candidate ->
         # reconfigure), as in the paper's Configuration Manager.
         "online_run",

@@ -14,9 +14,9 @@ cooperating layers:
     (timeout → pool kill), transient exceptions (backoff + retry) and,
     past the respawn budget, graceful degradation to serial execution.
 :mod:`repro.resilience.faults`
-    :class:`FaultPlan` / :class:`FaultEvent` — deterministic, seedable
-    fault injection (worker crashes, hangs, transient exceptions, cache
-    corruption) used by the test suite and ``repro resilience check``
+    :class:`FaultPlan` / :class:`FaultEvent` — deterministic fault
+    injection (worker crashes, hangs, transient exceptions) and
+    :func:`corrupt_cache_entry`, used by ``tests/test_resilience.py``
     to prove each recovery path.
 
 Every recovery action is surfaced through :mod:`repro.obs` — span

@@ -7,7 +7,7 @@ pinned to an attempt, recovery is provable: a crash planned at attempt
 complete and — cells being deterministic — produce results
 byte-identical to a fault-free run.
 
-Four fault kinds cover the failure modes the resilience layer recovers
+Three fault kinds cover the failure modes the resilience layer recovers
 from:
 
 ``crash``
@@ -20,11 +20,10 @@ from:
 ``transient``
     The worker raises :class:`~repro.errors.TransientError`; the retry
     policy re-submits the chunk after backoff.
-``corrupt_cache``
-    The on-disk cache entry of cell ``chunk`` is overwritten with
-    garbage *before* the cache probe, exercising checksum detection,
-    quarantine and recompute.  (For this kind the ``chunk`` field is a
-    cell index and ``attempt`` is ignored.)
+
+Cache corruption is not a plan event: :func:`corrupt_cache_entry`
+damages one entry directly, and the next probe detects, quarantines
+and recomputes it.
 
 ``crash`` and ``hang`` model *worker-process* faults: when the executor
 is running serially (``jobs=1`` or after degrading), firing them would
@@ -38,7 +37,6 @@ so spawn-mode workers can unpickle a reference to it.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass
@@ -52,7 +50,7 @@ if TYPE_CHECKING:  # import cycle guard: cache imports nothing from here
     from repro.obs.stitch import TraceContext
 
 #: Legal values of a fault event's ``kind`` field.
-FAULT_KINDS: tuple[str, ...] = ("crash", "hang", "transient", "corrupt_cache")
+FAULT_KINDS: tuple[str, ...] = ("crash", "hang", "transient")
 
 #: Exit status of a worker killed by an injected crash (recognisable in
 #: process listings and core-dump post-mortems).
@@ -88,49 +86,10 @@ class FaultPlan:
 
     events: tuple[FaultEvent, ...] = ()
 
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        n_chunks: int,
-        crash_rate: float = 0.0,
-        hang_rate: float = 0.0,
-        transient_rate: float = 0.0,
-        hang_s: float = 30.0,
-    ) -> "FaultPlan":
-        """A pseudo-random plan that is a pure function of ``seed``.
-
-        Each chunk independently draws one first-attempt fault with the
-        given probabilities (crash first, then hang, then transient).
-        The draw hashes ``(seed, chunk)``, so the same seed always
-        yields the same plan — across processes and Python versions.
-        """
-        events: list[FaultEvent] = []
-        for chunk in range(n_chunks):
-            digest = hashlib.sha256(f"{seed}:{chunk}".encode("utf-8")).digest()
-            u = int.from_bytes(digest[:8], "big") / 2**64
-            if u < crash_rate:
-                events.append(FaultEvent("crash", chunk=chunk))
-            elif u < crash_rate + hang_rate:
-                events.append(FaultEvent("hang", chunk=chunk, hang_s=hang_s))
-            elif u < crash_rate + hang_rate + transient_rate:
-                events.append(FaultEvent("transient", chunk=chunk))
-        return cls(events=tuple(events))
-
     def events_for(self, chunk: int, attempt: int) -> tuple[FaultEvent, ...]:
-        """The worker-side faults scheduled for ``(chunk, attempt)``."""
+        """The faults scheduled for ``(chunk, attempt)``."""
         return tuple(
-            e
-            for e in self.events
-            if e.kind != "corrupt_cache"
-            and e.chunk == chunk
-            and e.attempt == attempt
-        )
-
-    def corrupt_targets(self) -> tuple[int, ...]:
-        """Cell indices whose cache entries should be corrupted."""
-        return tuple(
-            sorted({e.chunk for e in self.events if e.kind == "corrupt_cache"})
+            e for e in self.events if e.chunk == chunk and e.attempt == attempt
         )
 
     def fire(self, chunk: int, attempt: int, serial: bool = False) -> None:
@@ -190,10 +149,10 @@ def evaluate_chunk_with_faults(
 def corrupt_cache_entry(cache: "ResultCache", key: str) -> bool:
     """Overwrite the cached entry for ``key`` with garbage bytes.
 
-    Returns whether an entry existed to corrupt.  Used by the engine to
-    apply a plan's ``corrupt_cache`` events and by the fault-injection
-    tests; the garbage is valid UTF-8 but not valid JSON, so detection
-    exercises the parse path rather than the checksum alone.
+    Returns whether an entry existed to corrupt.  Used by the
+    fault-injection tests; the garbage is valid UTF-8 but not valid
+    JSON, so detection exercises the parse path rather than the
+    checksum alone.
     """
     path = cache.path(key)
     if not path.is_file():

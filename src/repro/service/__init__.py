@@ -20,9 +20,10 @@ experiment engine.  The layers, transport-independent first:
   ``GET /healthz``) plus hosting helpers;
 * :mod:`repro.service.client` — a typed stdlib client;
 * :mod:`repro.service.loadtest` — the load/SLO harness behind
-  ``repro loadtest`` and the benchmark trajectory file;
-* :mod:`repro.service.chaos` — the deterministic chaos drill behind
-  ``repro chaos`` (SIGKILL recovery, breaker, journal corruption).
+  ``repro loadtest`` and the benchmark trajectory file.
+
+Crash recovery, breaker shedding and journal corruption are checked by
+``tests/test_service_robustness.py``.
 
 Boot one with ``repro serve`` or, in process::
 
@@ -33,7 +34,6 @@ Boot one with ``repro serve`` or, in process::
 
 from repro.service.breaker import BreakerPolicy, CircuitBreaker
 from repro.service.broker import SweepBroker
-from repro.service.chaos import ChaosReport, run_chaos
 from repro.service.client import ServiceClient
 from repro.service.jobs import Job, JobStore
 from repro.service.journal import JobJournal, JournalReplay
@@ -54,7 +54,6 @@ from repro.service.warmcache import WarmResultStore
 
 __all__ = [
     "BreakerPolicy",
-    "ChaosReport",
     "CircuitBreaker",
     "Job",
     "JobJournal",
@@ -71,7 +70,6 @@ __all__ = [
     "TenantQuotas",
     "WarmResultStore",
     "append_bench",
-    "run_chaos",
     "run_loadtest",
     "run_service",
 ]

@@ -75,6 +75,9 @@ from repro.service.warmcache import WarmResultStore
 
 _LOG = logging.getLogger("repro.service.broker")
 
+#: Most distinct cells evaluated per engine ``map`` call.
+MAX_BATCH: int = 64
+
 
 def _note_journal_error(future: "asyncio.Future[Any]") -> None:
     """Surface a failed fire-and-forget journal append in the log.
@@ -108,8 +111,6 @@ class SweepBroker:
     #: How long a freshly queued cell waits for companions before the
     #: batch is flushed to the engine.
     batch_window_s: float = 0.02
-    #: Most distinct cells evaluated per engine ``map`` call.
-    max_batch: int = 64
     jobs_retain: int = 1024
     #: Hard cap on the job table; past it admission answers 429.
     max_jobs: int = 4096
@@ -124,8 +125,6 @@ class SweepBroker:
             raise ServiceError(
                 f"batch_window_s must be >= 0, got {self.batch_window_s}"
             )
-        if self.max_batch < 1:
-            raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
         self.quotas = TenantQuotas(policy=self.quota_policy)
         # A table capped below the retain target can never hold that
         # many terminal jobs anyway; clamp so a small --max-jobs works
@@ -200,7 +199,7 @@ class SweepBroker:
             self._journal_pool = None
             # Drain the journal thread so every record queued above
             # (including the shutdown failures) is on disk before close
-            # returns — the chaos drill's replay contract depends on it.
+            # returns — journal replay after a restart depends on it.
             # shutdown(wait=True) joins the thread, so it runs off-loop.
             await asyncio.get_running_loop().run_in_executor(
                 None, functools.partial(pool.shutdown, True)
@@ -425,7 +424,7 @@ class SweepBroker:
                 continue
             if self.batch_window_s > 0 and not self._closed:
                 await asyncio.sleep(self.batch_window_s)
-            batch = self._pending[: self.max_batch]
+            batch = self._pending[:MAX_BATCH]
             del self._pending[: len(batch)]
             await self._run_batch(batch)
 

@@ -88,6 +88,10 @@ _IDEMPOTENCY_KEY_RE: re.Pattern[str] = re.compile(r"^[A-Za-z0-9._:-]{1,128}$")
 #: body's ``deadline_s`` field takes precedence when both are present.
 DEADLINE_HEADER: str = "X-Repro-Deadline"
 
+#: How long a ``?wait=1`` request blocks before the server gives up
+#: and returns the still-running status.
+WAIT_TIMEOUT_S: float = 60.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -99,10 +103,6 @@ class ServiceConfig:
     quota: QuotaPolicy = field(default_factory=QuotaPolicy)
     warm_entries: int = 256
     batch_window_s: float = 0.02
-    max_batch: int = 64
-    #: Default ``?wait=1`` timeout before the server gives up blocking
-    #: and returns the still-running status.
-    wait_timeout_s: float = 60.0
     #: Path of the durable job journal; ``None`` disables journaling
     #: and crash recovery with it.
     journal_path: str | Path | None = None
@@ -125,7 +125,6 @@ class SweepService:
             quota_policy=config.quota,
             warm=WarmResultStore(max_entries=config.warm_entries),
             batch_window_s=config.batch_window_s,
-            max_batch=config.max_batch,
             max_jobs=config.max_jobs,
             journal=(
                 JobJournal(config.journal_path)
@@ -366,7 +365,7 @@ class SweepService:
         wait = query.get("wait", ["0"])[-1] not in ("0", "", "false")
         if wait and not job.done.is_set():
             try:
-                await self.broker.wait(job, timeout=self.config.wait_timeout_s)
+                await self.broker.wait(job, timeout=WAIT_TIMEOUT_S)
             except asyncio.TimeoutError:
                 pass  # return the still-running status; client may poll
         if job.done.is_set() and job.deadline_hit:
@@ -434,7 +433,8 @@ def run_service(
     is bound (the CLI prints the URL; the CI smoke test parses it).
     SIGTERM and SIGINT trigger a graceful drain: the listener closes,
     in-flight batches get ``config.drain_timeout_s`` to finish, and
-    the process exits 0 — the contract ``repro chaos`` asserts.
+    the process exits 0 (``tests/test_service_robustness.py`` checks
+    this on a real SIGTERM).
     """
 
     async def _main() -> None:

@@ -27,9 +27,15 @@ class TestParser:
             ["clock"],
             ["power"],
             ["cache-verify", "--cache-dir", "x"],
-            ["resilience", "check"],
         ):
             assert parser.parse_args(argv).command == argv[0]
+
+    @pytest.mark.parametrize(
+        "argv", [["chaos"], ["resilience", "check"], ["robust", "check"]]
+    )
+    def test_retired_drills_are_not_subcommands(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_resilience_flags_parse(self):
         args = build_parser().parse_args(

@@ -18,6 +18,7 @@ from repro.errors import (
     SensorError,
     SimulationError,
 )
+from repro.obs.metrics import metrics
 from repro.ooo.intervals import IntervalSeries
 from repro.robust import (
     HardwareFaultModel,
@@ -27,6 +28,11 @@ from repro.robust import (
     TpiWatchdog,
     UnitFault,
 )
+
+
+def _fired(name):
+    """A counter's total over every label set."""
+    return sum(metrics().counter(name).collect().values())
 
 
 def _series(tpis_by_window, interval=1000):
@@ -114,7 +120,9 @@ class TestNoisySensor:
 
     def test_full_dropout_delivers_nothing(self):
         sensor = NoisySensor(SensorNoiseConfig(dropout_rate=1.0))
+        before = _fired("repro_robust_sensor_dropouts_total")
         assert sensor.read(0, 1.0) is None
+        assert _fired("repro_robust_sensor_dropouts_total") == before + 1
 
     def test_stuck_counter_replays_value(self):
         sensor = NoisySensor(
@@ -200,12 +208,14 @@ class TestControllerMasking:
 class TestThrashGuardrail:
     def test_lock_fires_and_cools_down(self):
         det = ThrashDetector(GuardrailConfig(thrash_threshold=2, cooldown=5))
+        before = _fired("repro_robust_thrash_locks_total")
         det.record_switch(0)
         assert not det.locked(0)
         det.record_switch(1)
         assert det.locked(1) and det.locked(6)
         assert not det.locked(7)
         assert det.n_locks == 1
+        assert _fired("repro_robust_thrash_locks_total") == before + 1
 
     def test_slow_switching_never_locks(self):
         det = ThrashDetector(
@@ -447,13 +457,25 @@ class TestDegradationStudy:
     def test_degraded_cells_complete_and_recover(self):
         from repro.experiments.degradation_study import degradation_study
 
-        study = degradation_study(
+        guardrails = (
+            "repro_robust_faults_injected_total",
+            "repro_robust_watchdog_regressions_total",
+            "repro_robust_watchdog_fallbacks_total",
+        )
+        before = {name: _fired(name) for name in guardrails}
+        kwargs = dict(
             fail_fractions=(0.25,), noise_fractions=(0.10,),
             n_rounds=6, n_refs=1500, warmup_refs=500,
             n_instructions=600, n_branches=600,
         )
+        study = degradation_study(**kwargs)
+        assert len(study.cells) == 4
         assert study.total_unrecovered() == 0
         for cell in study.cells:
             assert cell.n_reachable < cell.n_designed
             assert 0.0 < cell.retained <= 1.0
             assert math.isfinite(cell.final_tpi_ns)
+        for name in guardrails:
+            assert _fired(name) > before[name], name
+        # Same seed, same study: fault draws and sensor noise are pure.
+        assert degradation_study(**kwargs).cells == study.cells
